@@ -17,9 +17,20 @@ Coordinate slicing is the workhorse for point enumeration.  For polytopes we
 keep a cascade of Fourier-Motzkin projections (one per prefix length,
 eliminating the last coordinate first, redundant rows pruned by pairwise
 dominance of parallel rows); for ellipsoids the analogous cascade is the
-chain of Schur complements of the Gram matrix.  Both cascades are computed
-once per body and cached on the instance; fills are idempotent so concurrent
-readers are safe.
+chain of Schur complements of the Gram matrix.  Both cascades are kept in
+exact integers (primitive integer rows; integer forms ``x M x <= s``), are
+computed once per body and cached on the instance; fills are idempotent so
+concurrent readers are safe.
+
+``preimage`` through an integer matrix of determinant +-1 (a unimodular
+change of basis, as the minima search and canonicalization use) derives the
+pulled-back body from the parent's cached integer data by congruence instead
+of rebuilding and re-validating it in rational arithmetic: the top polytope
+rows are multiplied by the matrix, the integer Gram form ``M`` becomes
+``U^T M U`` with the same scale.  The checks that the constructors make are
+replaced by ones of equal strength: unimodularity by an integer (Bareiss)
+determinant, polytope rank by the parent's rank, and positive definiteness
+by the positive pivots of the integer Schur chain (Sylvester's criterion).
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ from .matrices import DimensionMismatch, Matrix, Scalar, _frac
 
 # One-sided integer inequality `coeffs . x <= rhs`.
 IntRow = tuple[tuple[int, ...], int]
+# Integer quadratic form `x M x <= s` as the pair `(M, s)`.
+IntForm = tuple[tuple[tuple[int, ...], ...], int]
 
 
 class InvalidBodyError(ValueError):
@@ -47,13 +60,6 @@ class InvalidBodyError(ValueError):
 # small integer helpers
 
 
-def _gcd_all(values) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(v))
-    return g
-
-
 def _integerize(coeffs: Sequence[Fraction], rhs: Fraction) -> IntRow:
     """Scale ``coeffs . x <= rhs`` by a positive rational into primitive ints."""
     lcm = 1
@@ -62,29 +68,64 @@ def _integerize(coeffs: Sequence[Fraction], rhs: Fraction) -> IntRow:
     lcm = lcm * rhs.denominator // math.gcd(lcm, rhs.denominator)
     ints = [int(c * lcm) for c in coeffs]
     b = int(rhs * lcm)
-    g = _gcd_all(ints + [b])
+    g = math.gcd(*ints, b)
     if g > 1:
         ints = [c // g for c in ints]
         b //= g
     return tuple(ints), b
 
 
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix (Bareiss elimination)."""
+    n = len(rows)
+    work = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if work[r][k]), None)
+            if swap is None:
+                return 0
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            wi, wik = work[i], work[i][k]
+            for j in range(k + 1, n):
+                wi[j] = (wi[j] * pivot - wik * work[k][j]) // prev
+        prev = pivot
+    return sign * work[n - 1][n - 1]
+
+
+def _row_times(row: Sequence[int], u: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Integer row vector times integer matrix."""
+    return tuple(sum(r * uk[j] for r, uk in zip(row, u) if r)
+                 for j in range(len(u[0])))
+
+
 def _prune_rows(rows: list[IntRow]) -> list[IntRow]:
-    """Drop trivial rows and keep only the tightest of parallel rows."""
-    best: dict[tuple[int, ...], Fraction] = {}
+    """Drop trivial rows and keep only the tightest of parallel rows.
+
+    Parallel rows share the primitive direction ``coeffs / g``; their bounds
+    ``rhs / g`` are compared by cross-multiplication.  The kept bound is
+    written in lowest terms ``num / den`` as the row ``(den * key, num)``."""
+    best: dict[tuple[int, ...], tuple[int, int]] = {}
     for coeffs, rhs in rows:
-        g = _gcd_all(coeffs)
+        g = math.gcd(*coeffs)
         if g == 0:
             # 0 <= rhs; trivially true for the 0-symmetric bodies we build.
             if rhs < 0:
                 raise InvalidBodyError("projection produced an empty system")
             continue
-        key = tuple(c // g for c in coeffs)
-        ratio = Fraction(rhs, g)
-        if key not in best or ratio < best[key]:
-            best[key] = ratio
-    return [(tuple(c * ratio.denominator for c in key), ratio.numerator)
-            for key, ratio in best.items()]
+        key = tuple([c // g for c in coeffs])
+        old = best.get(key)
+        if old is None or rhs * old[1] < old[0] * g:
+            best[key] = (rhs, g)
+    out = []
+    for key, (rhs, g) in best.items():
+        h = math.gcd(rhs, g)
+        den = g // h
+        out.append((tuple(c * den for c in key), rhs // h))
+    return out
 
 
 def _eliminate_last(rows: list[IntRow], width: int) -> list[IntRow]:
@@ -103,9 +144,10 @@ def _eliminate_last(rows: list[IntRow], width: int) -> list[IntRow]:
     out = list(zero)
     for cp, bp in pos:
         a = cp[width - 1]
+        head = cp[:width - 1]
         for cn, bn in neg:
             d = -cn[width - 1]
-            out.append((tuple(d * cp[i] + a * cn[i] for i in range(width - 1)),
+            out.append((tuple([d * x + a * y for x, y in zip(head, cn)]),
                         d * bp + a * bn))
     return _prune_rows(out)
 
@@ -149,7 +191,7 @@ class Box:
 
     def preimage(self, a: Matrix) -> "SymmetricBody":
         """The body ``{y : a @ y in self}`` (gauge pulled back through ``a``)."""
-        _check_transform(a, self.dim)
+        _unimodular_rows(a, self.dim)
         if a.is_diagonal():
             return Box(tuple(w / abs(a[i, i])
                              for i, w in enumerate(self.halfwidths)))
@@ -206,19 +248,38 @@ class HPolytope:
         return HPolytope(self.normals.scaled(Fraction(1) / mu))
 
     def preimage(self, a: Matrix) -> "HPolytope":
-        _check_transform(a, self.dim)
-        return HPolytope(self.normals @ a)
+        """The body ``{y : a @ y in self}``, i.e. normals ``self.normals @ a``.
+
+        For a unimodular ``a`` the rank carries over from this body and the
+        rows of :attr:`_top_rows` stay primitive under ``@ a``, so both are
+        derived in integers rather than rebuilt."""
+        u = _unimodular_rows(a, self.dim)
+        if u is None:
+            return HPolytope(self.normals @ a)
+        normals = []
+        for row in self.normals.entries:
+            den = math.lcm(*(e.denominator for e in row))
+            nums = [e.numerator * (den // e.denominator) for e in row]
+            normals.append(tuple(Fraction(v, den) for v in _row_times(nums, u)))
+        return _derived(HPolytope, normals=Matrix(tuple(normals)),
+                        _top_rows=tuple((_row_times(coeffs, u), rhs)
+                                        for coeffs, rhs in self._top_rows))
 
     @cached_property
-    def _cascade(self) -> tuple[tuple[IntRow, ...], ...]:
-        """Projection systems indexed by width: entry ``k-1`` constrains the
-        first ``k`` coordinates.  Entry ``d-1`` is the original row system."""
+    def _top_rows(self) -> tuple[IntRow, ...]:
+        """The system ``|<a_i, x>| <= 1`` as pruned primitive integer rows."""
         rows: list[IntRow] = []
         for normal in self.normals.entries:
             coeffs, rhs = _integerize(normal, Fraction(1))
             rows.append((coeffs, rhs))
             rows.append((tuple(-c for c in coeffs), rhs))
-        systems = [tuple(_prune_rows(rows))]
+        return tuple(_prune_rows(rows))
+
+    @cached_property
+    def _cascade(self) -> tuple[tuple[IntRow, ...], ...]:
+        """Projection systems indexed by width: entry ``k-1`` constrains the
+        first ``k`` coordinates.  Entry ``d-1`` is :attr:`_top_rows`."""
+        systems = [self._top_rows]
         for width in range(self.dim, 1, -1):
             systems.append(tuple(_eliminate_last(list(systems[-1]), width)))
         systems.reverse()
@@ -305,39 +366,67 @@ class Ellipsoid:
         return Ellipsoid(self.gram.scaled(Fraction(1) / (mu * mu)))
 
     def preimage(self, a: Matrix) -> "Ellipsoid":
-        _check_transform(a, self.dim)
-        return Ellipsoid(a.transpose() @ self.gram @ a)
+        """The body ``{y : a @ y in self}``, with Gram matrix ``a^T Q a``.
+
+        For a unimodular ``a`` the integer form ``(M, s)`` of ``Q`` becomes
+        ``(a^T M a, s)``: the least common denominator is invariant under a
+        unimodular congruence.  Positive definiteness is re-checked by the
+        positive pivots of the view's integer Schur chain."""
+        u = _unimodular_rows(a, self.dim)
+        if u is None:
+            return Ellipsoid(a.transpose() @ self.gram @ a)
+        m, s = self._integer_gram
+        m_u = [_row_times(row, u) for row in m]
+        congruent = tuple(_row_times(col, m_u) for col in zip(*u))
+        view = _derived(
+            Ellipsoid, _integer_gram=(congruent, s),
+            gram=Matrix(tuple(tuple(Fraction(e, s) for e in row)
+                              for row in congruent)))
+        view._integer_forms  # raises unless every Schur pivot is positive
+        return view
 
     @cached_property
-    def _schur_cascade(self) -> tuple[Matrix, ...]:
-        """Gram matrices of the coordinate projections, by prefix width.
+    def _integer_gram(self) -> IntForm:
+        """``(M, s)`` with ``M = s * gram`` for the least common denominator
+        ``s`` of the entries."""
+        s = math.lcm(*(e.denominator for row in self.gram.entries for e in row))
+        return (tuple(tuple(e.numerator * (s // e.denominator) for e in row)
+                      for row in self.gram.entries), s)
 
-        Entry ``k-1`` is the Gram matrix of the projection of the body onto
-        its first ``k`` coordinates (Schur complement chain)."""
-        forms = [self.gram]
-        for k in range(self.dim, 1, -1):
-            g = forms[-1]
-            c = g[k - 1, k - 1]
-            reduced = Matrix.from_rows(
-                [[g[i, j] - g[i, k - 1] * g[j, k - 1] / c
-                  for j in range(k - 1)] for i in range(k - 1)])
-            forms.append(reduced)
+    @cached_property
+    def _integer_forms(self) -> tuple[IntForm, ...]:
+        """Gram forms of the coordinate projections, by prefix width.
+
+        Entry ``k-1`` is ``(M, s)`` with ``x M x <= s`` equivalent to the
+        projection of the body onto its first ``k`` coordinates, ``M / s``
+        in lowest terms (``s`` the least common denominator).  Each entry is
+        the Schur complement of the next one's last diagonal entry ``c``:
+        ``(c M' - m m^T) / (c s)``, reduced by the common gcd.  Every pivot
+        ``c`` must be positive (Sylvester's criterion for the congruent
+        diagonal form); otherwise the body is not positive definite."""
+        forms = [self._integer_gram]
+        for k in range(self.dim, 0, -1):
+            m, s = forms[-1]
+            c = m[k - 1][k - 1]
+            if c <= 0:
+                raise InvalidBodyError("gram matrix must be positive definite")
+            if k == 1:
+                break
+            col = [m[i][k - 1] for i in range(k - 1)]
+            n = [[c * m[i][j] - col[i] * col[j] for j in range(k - 1)]
+                 for i in range(k - 1)]
+            g = math.gcd(c * s, *(e for row in n for e in row))
+            forms.append((tuple(tuple(e // g for e in row) for row in n),
+                          c * s // g))
         forms.reverse()
         return tuple(forms)
 
     @cached_property
-    def _integer_forms(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-        """Integer-scaled cascade: pairs ``(M, s)`` with ``x M x <= s``
-        equivalent to the rational projection inequality ``x G x <= 1``."""
-        out = []
-        for form in self._schur_cascade:
-            lcm = 1
-            for row in form.entries:
-                for e in row:
-                    lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-            m = tuple(tuple(int(e * lcm) for e in row) for row in form.entries)
-            out.append((m, lcm))
-        return tuple(out)
+    def _schur_cascade(self) -> tuple[Matrix, ...]:
+        """The rational Gram matrices ``M / s`` of :attr:`_integer_forms`."""
+        return tuple(Matrix(tuple(tuple(Fraction(e, s) for e in row)
+                                  for row in m))
+                     for m, s in self._integer_forms)
 
     def coordinate_bounds(
             self, prefix: Sequence[Scalar]) -> tuple[Fraction, Fraction] | None:
@@ -389,11 +478,33 @@ def _rational_scale(mu: "Scalar | GaugeValue", kind: str) -> Fraction:
     return mu
 
 
-def _check_transform(a: Matrix, dim: int) -> None:
+def _unimodular_rows(a: Matrix, dim: int) -> tuple[tuple[int, ...], ...] | None:
+    """Validate a ``preimage`` transform: square of size ``dim`` and
+    nonsingular.  Returns its integer rows when it is unimodular (integer
+    entries, determinant +-1), else ``None``."""
     if not a.is_square or a.nrows != dim:
         raise DimensionMismatch("transform has wrong shape")
-    if a.det() == 0:
+    if a.is_integer():
+        rows = tuple(tuple(e.numerator for e in row) for row in a.entries)
+        det = _int_det(rows)
+        if det in (1, -1):
+            return rows
+    else:
+        det = a.det()
+    if det == 0:
         raise InvalidBodyError("transform must be nonsingular")
+    return None
+
+
+def _derived(cls, **fields):
+    """An instance of ``cls`` from data derived from a validated body.
+
+    Skips ``__post_init__``, whose checks the caller has replaced by ones of
+    equal strength; ``fields`` may pre-fill cached properties."""
+    body = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(body, name, value)
+    return body
 
 
 def _check_prefix(prefix: Sequence[Scalar], dim: int) -> int:

@@ -313,8 +313,11 @@ def _diag(message: str) -> None:
 
 def cmd_count(args: argparse.Namespace) -> int:
     body, lattice = load_instance(args.input)
-    mu = GaugeValue.rational(parse_rational(args.mu, "--mu"))
-    n = count_points(body, lattice, mu, strict=args.strict)
+    mu = parse_rational(args.mu, "--mu")
+    if mu < 0:
+        raise ParseError(f"--mu: must be nonnegative, got {args.mu!r}")
+    n = count_points(body, lattice, GaugeValue.rational(mu),
+                     strict=args.strict)
     _emit({"count": str(n)}, sys.stdout)
     return EXIT_OK
 

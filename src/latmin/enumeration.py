@@ -706,10 +706,31 @@ def _image_run(image_rows: tuple[IntPoint, ...],
     return base, dirv
 
 
+def _poly_run_key(key_rows: list[tuple[IntPoint, int]], prefix: IntPoint):
+    """``t -> key(prefix + (t,))`` for the rows of :func:`_poly_key_rows`.
+
+    Each row contributes ``r + s t`` with its residual ``r`` at the prefix,
+    computed once per run, and its slope ``s``."""
+    last = len(prefix)
+    lines = [(f * sum(c * p for c, p in zip(coeffs, prefix) if c),
+              f * coeffs[last]) for coeffs, f in key_rows]
+    return lambda t: max(r + s * t for r, s in lines)
+
+
+def _quad_run_key(m: tuple[IntPoint, ...], prefix: IntPoint):
+    """``t -> x M x`` at ``x = prefix + (t,)``, as ``(a t + 2 b) t + c``."""
+    last = len(prefix)
+    a = m[last][last]
+    b = sum(m[last][i] * p for i, p in enumerate(prefix) if p)
+    c = sum(p * sum(m[i][j] * prefix[j] for j in range(last))
+            for i, p in enumerate(prefix) if p)
+    return lambda t: (a * t + 2 * b) * t + c
+
+
 def _min_outside_box(view: Box, flat: int, mu: int,
                      image_rows: tuple[IntPoint, ...]):
     dim = view.dim
-    key_fn, to_gauge, threshold = integer_gauge_key(view)
+    _, to_gauge, threshold = integer_gauge_key(view)
     lcm = threshold(1)
     factors = [w.denominator * (lcm // w.numerator) for w in view.halfwidths]
     state = _OutsideState(threshold(mu))
@@ -736,9 +757,10 @@ def _min_outside_box(view: Box, flat: int, mu: int,
 def _min_outside_poly(view: HPolytope, flat: int, mu: int,
                       image_rows: tuple[IntPoint, ...]):
     dim = view.dim
-    key_fn, to_gauge, threshold = integer_gauge_key(view)
+    last = dim - 1
+    _, to_gauge, threshold = integer_gauge_key(view)
+    key_rows, lcm = _poly_key_rows(view)
     raw = view._cascade
-    lcm = threshold(1)
     state = _OutsideState(threshold(mu))
     built_for = None
     systems: list[list[tuple[tuple[int, ...], int]]] = []
@@ -754,12 +776,12 @@ def _min_outside_poly(view: HPolytope, flat: int, mu: int,
         if depth == flat and not any(prefix):
             return
         ensure_systems()
-        if depth == dim - 1:
+        if depth == last:
             iv = _poly_last_interval(systems[depth], prefix, depth, False)
             if iv is None:
                 return
             base, dirv = _image_run(image_rows, prefix)
-            state.absorb_run(iv[0], iv[1], lambda t: key_fn(prefix + (t,)),
+            state.absorb_run(iv[0], iv[1], _poly_run_key(key_rows, prefix),
                              base, dirv, flat == dim and not any(prefix))
             return
         iv = _poly_interval(systems[depth], prefix, depth)
@@ -775,9 +797,10 @@ def _min_outside_poly(view: HPolytope, flat: int, mu: int,
 def _min_outside_ellipsoid(view: Ellipsoid, flat: int, mu: int,
                            image_rows: tuple[IntPoint, ...]):
     dim = view.dim
-    key_fn, to_gauge, threshold = integer_gauge_key(view)
+    last = dim - 1
+    _, to_gauge, threshold = integer_gauge_key(view)
     raw = view._integer_forms
-    s_full = threshold(1)
+    m_full, s_full = raw[last]
     state = _OutsideState(threshold(mu))
     built_for = None
     forms: list[tuple[tuple[tuple[int, ...], ...], int]] = []
@@ -796,9 +819,9 @@ def _min_outside_ellipsoid(view: Ellipsoid, flat: int, mu: int,
         iv = _quad_interval(forms[depth], prefix, depth)
         if iv is None:
             return
-        if depth == dim - 1:
+        if depth == last:
             base, dirv = _image_run(image_rows, prefix)
-            state.absorb_run(iv[0], iv[1], lambda t: key_fn(prefix + (t,)),
+            state.absorb_run(iv[0], iv[1], _quad_run_key(m_full, prefix),
                              base, dirv, flat == dim and not any(prefix))
             return
         for t in _centered(iv[0], iv[1]):
@@ -832,11 +855,7 @@ def integer_gauge_key(zbody: SymmetricBody):
                 lambda mu: mu * lcm)
 
     if isinstance(zbody, HPolytope):
-        rows = zbody._cascade[zbody.dim - 1]
-        lcm = 1
-        for _, rhs in rows:
-            lcm = lcm * rhs // math.gcd(lcm, rhs)
-        scaled = [(coeffs, lcm // rhs) for coeffs, rhs in rows]
+        scaled, lcm = _poly_key_rows(zbody)
 
         def key_poly(x: IntPoint) -> int:
             return max(f * sum(c * xi for c, xi in zip(coeffs, x))
@@ -853,3 +872,12 @@ def integer_gauge_key(zbody: SymmetricBody):
 
     return (key_ell, lambda k: GaugeValue.sqrt_of(Fraction(k, s)),
             lambda mu: mu * mu * s)
+
+
+def _poly_key_rows(zbody: HPolytope) -> tuple[list[tuple[IntPoint, int]], int]:
+    """``(rows, lcm)`` with ``gauge(x) = max f <c, x> / lcm`` over the rows
+    ``(c, f)``: the primitive rows ``<c, x> <= r`` scaled by ``f = lcm / r``
+    to the common bound ``lcm``."""
+    rows = zbody._top_rows
+    lcm = math.lcm(*(rhs for _, rhs in rows))
+    return [(coeffs, lcm // rhs) for coeffs, rhs in rows], lcm

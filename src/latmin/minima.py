@@ -10,6 +10,13 @@ moves their span onto a coordinate subspace, and a pruned coordinate search
 finds the exact minimal-gauge point outside that subspace without ever
 enumerating the (possibly huge) point mass inside it.
 
+From the body pulled back to the standard lattice onward, the search runs in
+exact integers: the change of basis is built as an integer matrix, each
+stage's view of the body is derived from the parent's integer data by
+unimodular congruence (see :meth:`HPolytope.preimage` and
+:meth:`Ellipsoid.preimage`), and the coordinate search compares integer
+gauge keys.
+
 Ties are broken deterministically: points are ordered by exact gauge, then
 by preferring support on earlier coordinates, after normalizing each
 +-pair to the representative whose first nonzero coordinate is positive.
@@ -59,35 +66,23 @@ class CanonicalInstance:
     minima: MinimaResult
 
 
-def _canonical_sign(p: IntPoint) -> IntPoint:
-    for v in p:
-        if v > 0:
-            return p
-        if v < 0:
-            return tuple(-x for x in p)
-    return p
-
-
-def _tiebreak(p: IntPoint) -> tuple:
-    """Deterministic order among equal-gauge points.
-
-    Prefers points supported on earlier coordinates (so unit vectors come
-    out in the order e1, e2, ...), then small late coordinates, then the
-    plain tuple as a final tie-break between sign patterns.
-    """
-    return (tuple(abs(c) for c in reversed(p)), p)
-
-
-def _flag_unimodular(witnesses: list[IntPoint], dim: int) -> Matrix:
-    """Integer unimodular map sending ``span(witnesses)`` into the span of
-    the *last* ``len(witnesses)`` coordinates.
+def _flag_unimodular(witnesses: list[IntPoint],
+                     dim: int) -> tuple[tuple[int, ...], ...]:
+    """Integer rows of the inverse ``A^-1`` of a unimodular ``A`` sending
+    ``span(witnesses)`` into the span of the *last* ``len(witnesses)``
+    coordinates.
 
     A point ``x`` lies in the witness span iff the first
     ``dim - len(witnesses)`` entries of ``A x`` all vanish, which turns the
-    span into a single skippable prefix of the coordinate search.
+    span into a single skippable prefix of the coordinate search over
+    ``y = A x``, i.e. ``x = A^-1 y``.  ``A`` is the product of the integer
+    row operations that triangularize the witness columns, rows reversed;
+    ``A^-1`` is built alongside by applying the inverse operations to the
+    columns of an identity (kept transposed, so they are row operations
+    too), which keeps it integer.
     """
     m = [[w[r] for w in witnesses] for r in range(dim)]
-    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    inv_t = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for col in range(len(witnesses)):
         while True:
             live = [r for r in range(col, dim) if m[r][col]]
@@ -96,20 +91,21 @@ def _flag_unimodular(witnesses: list[IntPoint], dim: int) -> Matrix:
             piv = min(live, key=lambda r: abs(m[r][col]))
             if piv != col:
                 m[col], m[piv] = m[piv], m[col]
-                u[col], u[piv] = u[piv], u[col]
+                inv_t[col], inv_t[piv] = inv_t[piv], inv_t[col]
             pv = m[col][col]
             done = True
             for r in range(col + 1, dim):
                 q = m[r][col] // pv
                 if q:
                     m[r] = [a - q * b for a, b in zip(m[r], m[col])]
-                    u[r] = [a - q * b for a, b in zip(u[r], u[col])]
+                    inv_t[col] = [a + q * b
+                                  for a, b in zip(inv_t[col], inv_t[r])]
                 if m[r][col]:
                     done = False
             if done:
                 break
-    u.reverse()
-    return Matrix.from_rows(u)
+    inv_t.reverse()
+    return tuple(zip(*inv_t))
 
 
 def _box_minima(zbody: Box) -> MinimaResult:
@@ -135,7 +131,9 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
     :func:`min_key_point_outside` finds the exact minimal-gauge points
     outside it within the dilation ``mu``, doubling ``mu`` until one
     appears.  The dilation never shrinks between stages because the minima
-    are nondecreasing.
+    are nondecreasing.  Each stage's view is the body pulled back through
+    the integer unimodular inverse of the alignment, which ``preimage``
+    derives by integer congruence.
     """
     dim = body.dim
     zbody = body if lattice.is_standard else body.preimage(lattice.basis)
@@ -152,12 +150,10 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
         if k == 0:
             view, rows = zbody, identity
         else:
-            back = _flag_unimodular(witnesses, dim).inverse()
-            view = zbody.preimage(back)
-            # The alignment is unimodular, so its inverse is integer; the
-            # search receives it to express its preference directly on the
-            # original coordinates.
-            rows = tuple(tuple(int(e) for e in row) for row in back.entries)
+            # The search receives the integer inverse of the alignment to
+            # express its preference directly on the original coordinates.
+            rows = _flag_unimodular(witnesses, dim)
+            view = zbody.preimage(Matrix.from_rows(rows))
         found = min_key_point_outside(view, dim - k, mu, rows)
         if found is None:
             mu *= 2

@@ -88,3 +88,20 @@ def lattices(draw, dim: int):
 def instances(draw, max_dim: int = 3, small: bool = False):
     dim = draw(st.integers(1, max_dim))
     return draw(bodies(dim, small=small)), draw(lattices(dim))
+
+
+def shear_unimodulars(dim: int):
+    """Unimodular integer matrices as products of ``2 * dim`` elementary
+    shears ``row_i += s * row_j``, the way the fuzz generator builds its
+    sheared lattices."""
+    shear = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                      st.sampled_from((-1, 1)))
+
+    def build(shears):
+        u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for i, j, s in shears:
+            if i != j:
+                u[i] = [a + s * b for a, b in zip(u[i], u[j])]
+        return Matrix.from_rows(u)
+
+    return st.lists(shear, min_size=2 * dim, max_size=2 * dim).map(build)

@@ -159,6 +159,10 @@ class TestCountCommand:
         rc, _, err = run_cli(monkeypatch, capsys,
                              ["count", "--mu", "x"], json.dumps(BOX13_DOC))
         assert rc == 2 and "--mu" in err
+        rc, _, err = run_cli(monkeypatch, capsys,
+                             ["count", "--mu=-1"], json.dumps(BOX13_DOC))
+        assert rc == 2 and err.startswith("input error: --mu")
+        assert len(err.splitlines()) == 1
 
     def test_invariant_violations_exit_3(self, monkeypatch, capsys):
         doc = {"dim": 2, "body": {"kind": "hpolytope",

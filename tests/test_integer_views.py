@@ -1,0 +1,210 @@
+"""Integer paths of the minima search: unimodular preimage views, integer
+Fourier-Motzkin pruning, the integer Schur chain and the leaf run keys."""
+
+import math
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given
+
+from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
+                    InvalidBodyError, Matrix)
+from latmin.bodies import _derived, _int_det, _prune_rows, _unimodular_rows
+from latmin.enumeration import (_poly_key_rows, _poly_run_key, _quad_run_key,
+                                integer_gauge_key)
+from latmin.minima import _flag_unimodular
+
+from strategies import (ellipsoids, hpolytopes, int_matrices, int_points,
+                        positive_fractions, shear_unimodulars)
+
+F = Fraction
+
+
+def _prune_rows_reference(rows):
+    """Parallel-row pruning with ``Fraction`` keys (the definition)."""
+    best = {}
+    for coeffs, rhs in rows:
+        g = 0
+        for c in coeffs:
+            g = math.gcd(g, abs(c))
+        if g == 0:
+            if rhs < 0:
+                raise InvalidBodyError("projection produced an empty system")
+            continue
+        key = tuple(c // g for c in coeffs)
+        ratio = Fraction(rhs, g)
+        if key not in best or ratio < best[key]:
+            best[key] = ratio
+    return [(tuple(c * ratio.denominator for c in key), ratio.numerator)
+            for key, ratio in best.items()]
+
+
+@st.composite
+def rational_polytopes(draw, dim):
+    """Polytopes with rational normals: integer ones, columns rescaled."""
+    body = draw(hpolytopes(dim))
+    scale = Matrix.diagonal([draw(positive_fractions(3, 3))
+                             for _ in range(dim)])
+    return body.preimage(scale)
+
+
+@st.composite
+def rational_ellipsoids(draw, dim):
+    body = draw(ellipsoids(dim, bound=2))
+    scale = Matrix.diagonal([draw(positive_fractions(3, 3))
+                             for _ in range(dim)])
+    return body.preimage(scale)
+
+
+dims = st.integers(2, 4)
+
+
+class TestPolytopeViews:
+    @given(dims.flatmap(lambda d: st.tuples(rational_polytopes(d),
+                                            shear_unimodulars(d))))
+    def test_cascade_matches_rebuilt_body(self, case):
+        body, u = case
+        view = body.preimage(u)
+        rebuilt = HPolytope(body.normals @ u)
+        assert view == rebuilt
+        assert view._top_rows == rebuilt._top_rows
+        for level, (got, want) in enumerate(zip(view._cascade,
+                                                rebuilt._cascade)):
+            assert got == want, f"cascade level {level} differs"
+
+    @given(dims.flatmap(lambda d: st.tuples(rational_polytopes(d),
+                                            shear_unimodulars(d),
+                                            int_points(d, 3))))
+    def test_gauge_pulls_back(self, case):
+        body, u, y = case
+        assert body.preimage(u).gauge(y) == body.gauge(u.apply(y))
+
+
+class TestEllipsoidViews:
+    @given(dims.flatmap(lambda d: st.tuples(rational_ellipsoids(d),
+                                            shear_unimodulars(d),
+                                            int_points(d, 3))))
+    def test_forms_match_rebuilt_body(self, case):
+        body, u, y = case
+        view = body.preimage(u)
+        rebuilt = Ellipsoid(u.transpose() @ body.gram @ u)
+        assert view == rebuilt
+        assert view._integer_forms == rebuilt._integer_forms
+        assert view._schur_cascade == rebuilt._schur_cascade
+        assert view.gauge(y) == rebuilt.gauge(y) == body.gauge(u.apply(y))
+
+    def test_schur_pivots_check_definiteness(self):
+        # The pivots of the integer Schur chain replace the leading minors
+        # for views; an indefinite form must be refused by them.
+        indefinite = Matrix.from_rows([[1, 2], [2, 1]])
+        with pytest.raises(InvalidBodyError):
+            _derived(Ellipsoid, gram=indefinite)._integer_forms
+        semidefinite = Matrix.from_rows([[1, 1], [1, 1]])
+        with pytest.raises(InvalidBodyError):
+            _derived(Ellipsoid, gram=semidefinite)._integer_forms
+
+
+class TestTransforms:
+    SQUARE = HPolytope(Matrix.from_rows([[1, 0], [0, 1], [1, 1]]))
+    DISK = Ellipsoid(Matrix.from_rows([[2, 1], [1, 3]]))
+    BOX = Box((F(1), F(3, 2)))
+
+    def test_singular_transform_raises(self):
+        singular = Matrix.from_rows([[1, 2], [2, 4]])
+        for body in (self.SQUARE, self.DISK, self.BOX):
+            with pytest.raises(InvalidBodyError):
+                body.preimage(singular)
+            with pytest.raises(InvalidBodyError):
+                body.preimage(Matrix.from_rows([[F(1, 2), 1], [1, 2]]))
+            with pytest.raises(DimensionMismatch):
+                body.preimage(Matrix.identity(3))
+
+    def test_non_unimodular_integer_takes_rational_path(self):
+        a = Matrix.diagonal([2, 1])
+        assert _unimodular_rows(a, 2) is None
+        pre = self.SQUARE.preimage(a)
+        assert pre == HPolytope(self.SQUARE.normals @ a)
+        assert "_top_rows" not in vars(pre)
+        pre = self.DISK.preimage(a)
+        assert pre == Ellipsoid(a.transpose() @ self.DISK.gram @ a)
+        assert "_integer_gram" not in vars(pre)
+
+    def test_unimodular_rows(self):
+        u = Matrix.from_rows([[2, 1], [1, 1]])
+        assert _unimodular_rows(u, 2) == ((2, 1), (1, 1))
+        assert _unimodular_rows(Matrix.diagonal([1, -1]), 2) == \
+            ((1, 0), (0, -1))
+        assert _unimodular_rows(Matrix.diagonal([F(1, 2), 2]), 2) is None
+
+    @given(st.integers(1, 5).flatmap(lambda d: int_matrices(d, 4)))
+    def test_bareiss_determinant(self, m):
+        rows = [[int(e) for e in row] for row in m.entries]
+        assert _int_det(rows) == m.det()
+
+
+class TestPruneRows:
+    def test_parallel_rows_at_different_scales(self):
+        rows = [((2, 4), 3), ((1, 2), 2), ((3, 6), 4), ((-1, -2), 5),
+                ((0, 3), 1)]
+        assert _prune_rows(rows) == _prune_rows_reference(rows) == \
+            [((3, 6), 4), ((-1, -2), 5), ((0, 3), 1)]
+
+    def test_zero_rows(self):
+        assert _prune_rows([((0, 0), 0), ((0, 0), 2), ((1, 0), 1)]) == \
+            [((1, 0), 1)]
+        with pytest.raises(InvalidBodyError):
+            _prune_rows([((1, 0), 1), ((0, 0), -1)])
+
+    @given(st.lists(st.tuples(st.lists(st.integers(-6, 6), min_size=3,
+                                       max_size=3).map(tuple),
+                              st.integers(-20, 20)), max_size=12))
+    def test_matches_fraction_reference(self, rows):
+        try:
+            want = _prune_rows_reference(rows)
+        except InvalidBodyError:
+            with pytest.raises(InvalidBodyError):
+                _prune_rows(rows)
+            return
+        assert _prune_rows(rows) == want
+
+
+class TestRunKeys:
+    @given(dims.flatmap(lambda d: st.tuples(rational_polytopes(d),
+                                            int_points(d - 1, 3),
+                                            st.integers(-5, 5))))
+    def test_poly_run_key(self, case):
+        body, prefix, t = case
+        rows, lcm = _poly_key_rows(body)
+        key = _poly_run_key(rows, prefix)(t)
+        x = prefix + (t,)
+        assert key == integer_gauge_key(body)[0](x)
+        assert GaugeValue.rational(Fraction(key, lcm)) == body.gauge(x)
+
+    @given(dims.flatmap(lambda d: st.tuples(rational_ellipsoids(d),
+                                            int_points(d - 1, 3),
+                                            st.integers(-5, 5))))
+    def test_quad_run_key(self, case):
+        body, prefix, t = case
+        m, s = body._integer_forms[-1]
+        key = _quad_run_key(m, prefix)(t)
+        x = prefix + (t,)
+        assert key == integer_gauge_key(body)[0](x)
+        assert Fraction(key, s) == body.gauge_squared(x)
+
+
+class TestFlagUnimodular:
+    @given(st.integers(2, 5).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(1, d - 1)).flatmap(
+            lambda dk: st.lists(int_points(dk[0], 3), min_size=dk[1],
+                                max_size=dk[1]))))
+    def test_inverse_alignment(self, witnesses):
+        dim, k = len(witnesses[0]), len(witnesses)
+        w = Matrix.from_columns(witnesses)
+        if w.rank() < k:
+            return
+        back = Matrix.from_rows(_flag_unimodular(witnesses, dim))
+        assert _int_det(_flag_unimodular(witnesses, dim)) in (1, -1)
+        forward = back.inverse()
+        for p in witnesses:
+            assert not any(forward.apply(p)[:dim - k])
