@@ -62,10 +62,7 @@ class InvalidBodyError(ValueError):
 
 def _integerize(coeffs: Sequence[Fraction], rhs: Fraction) -> IntRow:
     """Scale ``coeffs . x <= rhs`` by a positive rational into primitive ints."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    lcm = lcm * rhs.denominator // math.gcd(lcm, rhs.denominator)
+    lcm = math.lcm(*(c.denominator for c in coeffs), rhs.denominator)
     ints = [int(c * lcm) for c in coeffs]
     b = int(rhs * lcm)
     g = math.gcd(*ints, b)
@@ -445,9 +442,7 @@ class Ellipsoid:
         gamma = sum(pref[i] * g[i, k] * pref[k]
                     for i in range(j) for k in range(j))
         # alpha t^2 + 2 beta t + (gamma - 1) <= 0, scaled to integers.
-        lcm = 1
-        for v in (alpha, beta, gamma):
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+        lcm = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
         a, b, c = int(alpha * lcm), int(beta * lcm), int((gamma - 1) * lcm)
         disc = b * b - a * c
         if disc < 0:

@@ -22,11 +22,14 @@ Exit codes
     2 input error (malformed file, bad flag value)
     3 invariant violation (rank-deficient normals, singular basis, ...)
     4 bug alarm (a kernel check failed, contradicting the proof machinery)
+      or internal error (a failed self-check or any other unexpected
+      exception, reported as one ``internal error: <Type>: <msg>`` line)
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -361,6 +364,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise ParseError(f"--range: must be in 1..{MAX_COEFF_RANGE}")
     if args.count < 0:
         raise ParseError("--count: must be nonnegative")
+    if args.threads < 1:
+        raise ParseError(f"--threads: must be at least 1, got {args.threads}")
     if args.count == 0:
         return EXIT_OK
     kind = None if args.kind == "any" else args.kind
@@ -408,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact successive minima, lattice point counts, and "
                     "inequality verification for 0-symmetric convex bodies.",
         epilog="Exit codes: 0 pass, 1 check failed, 2 input error, "
-               "3 invariant violation, 4 bug alarm.")
+               "3 invariant violation, 4 bug alarm or internal error.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p: argparse.ArgumentParser) -> None:
@@ -483,9 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so every call of main shares one.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -498,6 +506,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             GenerationError) as exc:
         _diag(f"invariant violation: {exc}")
         return EXIT_INVARIANT
+    except Exception as exc:
+        _diag(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_BUG_ALARM
 
 
 def console_main() -> None:

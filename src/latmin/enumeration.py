@@ -12,10 +12,13 @@ All arithmetic on the hot path is plain integer arithmetic: polytope rows
 and ellipsoid Gram forms are pre-scaled to integers, and a rational dilation
 ``p/q`` is folded into those integers rather than into the body.
 
-Dilations that are square roots of rationals are exact for ellipsoids.  For
-the polyhedral shapes such a dilation cannot be folded into rational data,
-so enumeration walks a rational cover and keeps only points passing the
-exact gauge comparison; results are still exact.
+A dilation ``sqrt(p/q)`` is exact in integers too.  Ellipsoids fold ``p/q``
+into the squared bound of their forms.  For boxes and polytopes every
+integer bound ``n <= r*sqrt(p/q)`` becomes ``n <= isqrt(r^2 p // q)``, less
+one for strict membership when the square root is attained exactly; the
+final coordinate is resolved against these bounds, while the inner levels
+walk the cascade of the rational cover ``mu.rational_upper_bound()``, whose
+projections contain those of the dilate.
 """
 
 from __future__ import annotations
@@ -67,18 +70,47 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _isqrt_bound(num: int, den: int, strict: bool) -> int:
+    """The largest integer ``n`` with ``n <= sqrt(num/den)`` (``<`` when
+    strict), for ``num, den > 0``."""
+    n = math.isqrt(num // den)
+    if strict and n * n * den == num:
+        n -= 1
+    return n
+
+
 # ---------------------------------------------------------------------------
 # polytope jobs: lists of integer rows per prefix length
 
 
-def _scaled_systems(body: HPolytope, num: int,
-                    den: int) -> list[list[tuple[tuple[int, ...], int]]]:
-    """The projection cascade with the dilation ``num/den`` folded in."""
-    return [[(tuple(den * c for c in coeffs), num * rhs)
-             for coeffs, rhs in system] for system in body._cascade]
+def _dilated_systems(body: HPolytope, mu: GaugeValue,
+                     strict: bool) -> list[list[tuple[tuple[int, ...], int]]]:
+    """The projection cascade of ``mu * body`` as integer rows ``c.x <= r``.
+
+    The final level holds the body's own rows with the dilation and the
+    strictness folded in, so its integer solutions are exactly the points of
+    the dilate (its interior when strict): on integers ``c.x < r`` is
+    ``c.x <= r - 1``, and for ``mu = sqrt(p/q)`` the bound ``c.x <= r*mu``
+    is ``c.x <= isqrt(r^2 p // q)``.  The inner levels of a square-root
+    dilation belong to the rational cover ``mu.rational_upper_bound()``;
+    their projections contain those of the dilate, so they only admit extra
+    prefixes whose final interval is empty."""
+    cover = mu.rational_upper_bound()
+    num, den = cover.numerator, cover.denominator
+    systems = [[(tuple(den * c for c in coeffs), num * rhs)
+                for coeffs, rhs in system] for system in body._cascade]
+    if mu.is_sqrt:
+        p, q = mu.value.numerator, mu.value.denominator
+        systems[-1] = [(coeffs, _isqrt_bound(rhs * rhs * p, q, strict))
+                       for coeffs, rhs in body._top_rows]
+    elif strict:
+        systems[-1] = [(coeffs, rhs - 1) for coeffs, rhs in systems[-1]]
+    return systems
 
 
 def _poly_interval(rows, prefix: IntPoint, k: int) -> tuple[int, int] | None:
+    """Integer range of coordinate ``k`` under ``rows`` at ``prefix``;
+    ``None`` when it is empty."""
     lo = None
     hi = None
     for coeffs, rhs in rows:
@@ -96,38 +128,6 @@ def _poly_interval(rows, prefix: IntPoint, k: int) -> tuple[int, int] | None:
                 hi = b
         else:
             b = -(r // (-cj))
-            if lo is None or b > lo:
-                lo = b
-    if lo is None or hi is None:
-        raise InvalidBodyError("unbounded enumeration interval")
-    if lo > hi:
-        return None
-    return lo, hi
-
-
-def _poly_last_interval(rows, prefix: IntPoint, k: int,
-                        strict: bool) -> tuple[int, int] | None:
-    """Exact integer range for the final coordinate.
-
-    For ``strict`` the range describes interior points: a point is interior
-    iff every defining inequality holds strictly."""
-    lo = None
-    hi = None
-    for coeffs, rhs in rows:
-        r = rhs
-        for c, p in zip(coeffs, prefix):
-            if c:
-                r -= c * p
-        cj = coeffs[k]
-        if cj == 0:
-            if (r <= 0) if strict else (r < 0):
-                return None
-        elif cj > 0:
-            b = _ceil_div(r, cj) - 1 if strict else r // cj
-            if hi is None or b < hi:
-                hi = b
-        else:
-            b = (r // cj) + 1 if strict else -(r // (-cj))
             if lo is None or b > lo:
                 lo = b
     if lo is None or hi is None:
@@ -217,30 +217,18 @@ def _quad_points(form, prefix: IntPoint, k: int, strict: bool) -> list[int]:
 # box closed forms
 
 
-def _axis_range(width: Fraction, strict: bool) -> range:
-    num, den = width.numerator, width.denominator
-    m = num // den
-    if strict and den == 1:
-        return range(-m + 1, m)
+def _axis_range(w: Fraction, mu: GaugeValue, strict: bool) -> range:
+    """The integers ``t`` with ``|t| <= mu*w`` (``<`` when strict)."""
+    v = mu.value
+    if mu.is_sqrt:
+        m = _isqrt_bound(w.numerator ** 2 * v.numerator,
+                         w.denominator ** 2 * v.denominator, strict)
+    else:
+        width = w * v
+        m = width.numerator // width.denominator
+        if strict and width.denominator == 1:
+            m -= 1
     return range(-m, m + 1)
-
-
-# ---------------------------------------------------------------------------
-# exact gauge filter (used when a sqrt dilation meets a polyhedral body)
-
-
-def _gauge_filter(body: SymmetricBody, mu: GaugeValue,
-                  strict: bool) -> Callable[[IntPoint], bool]:
-    if strict:
-        return lambda x: body.gauge(x) < mu
-    return lambda x: body.gauge(x) <= mu
-
-
-def _cover_job(body: SymmetricBody, mu: GaugeValue, strict: bool):
-    """Fallback for sqrt dilations of polyhedral bodies: walk the closed
-    rational cover ``mu_up * K`` and keep exact gauge matches."""
-    cover = mu.rational_upper_bound()
-    return cover, _gauge_filter(body, mu, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +260,20 @@ def count_points(body: SymmetricBody, lattice: Lattice,
 
         return rec(0, ())
 
-    if mu.is_sqrt:
-        cover, keep = _cover_job(zbody, mu, strict)
-        return sum(1 for p in _walk_closed(zbody, cover) if keep(p))
-
     if isinstance(zbody, Box):
-        v = mu.value
         total = 1
         for w in zbody.halfwidths:
-            total *= len(_axis_range(w * v, strict))
+            total *= len(_axis_range(w, mu, strict))
         return total
 
-    v = mu.value
-    systems = _scaled_systems(zbody, v.numerator, v.denominator)
+    systems = _dilated_systems(zbody, mu, strict)
 
     def rec(depth: int, prefix: IntPoint) -> int:
-        if depth == dim - 1:
-            iv = _poly_last_interval(systems[depth], prefix, depth, strict)
-            return 0 if iv is None else iv[1] - iv[0] + 1
         iv = _poly_interval(systems[depth], prefix, depth)
         if iv is None:
             return 0
+        if depth == dim - 1:
+            return iv[1] - iv[0] + 1
         return sum(rec(depth + 1, prefix + (t,))
                    for t in range(iv[0], iv[1] + 1))
 
@@ -333,60 +314,25 @@ def enumerate_points(body: SymmetricBody, lattice: Lattice,
         rec(0, ())
         return PointSet(dim, lattice, tuple(out))
 
-    if mu.is_sqrt:
-        cover, keep = _cover_job(zbody, mu, strict)
-        pts = tuple(p for p in _walk_closed(zbody, cover) if keep(p))
-        return PointSet(dim, lattice, pts)
-
     if isinstance(zbody, Box):
-        v = mu.value
-        ranges = [_axis_range(w * v, strict) for w in zbody.halfwidths]
+        ranges = [_axis_range(w, mu, strict) for w in zbody.halfwidths]
         return PointSet(dim, lattice, tuple(itertools.product(*ranges)))
 
-    v = mu.value
-    systems = _scaled_systems(zbody, v.numerator, v.denominator)
+    systems = _dilated_systems(zbody, mu, strict)
     out = []
 
     def rec(depth: int, prefix: IntPoint) -> None:
-        if depth == dim - 1:
-            iv = _poly_last_interval(systems[depth], prefix, depth, strict)
-            if iv is not None:
-                out.extend(prefix + (t,) for t in range(iv[0], iv[1] + 1))
-            return
         iv = _poly_interval(systems[depth], prefix, depth)
         if iv is None:
+            return
+        if depth == dim - 1:
+            out.extend(prefix + (t,) for t in range(iv[0], iv[1] + 1))
             return
         for t in range(iv[0], iv[1] + 1):
             rec(depth + 1, prefix + (t,))
 
     rec(0, ())
     return PointSet(dim, lattice, tuple(out))
-
-
-def _walk_closed(zbody: SymmetricBody, mu: Fraction) -> Iterator[IntPoint]:
-    """Iterate integer points of the closed rational dilation ``mu*zbody``."""
-    dim = zbody.dim
-    if isinstance(zbody, Box):
-        ranges = [_axis_range(w * mu, False) for w in zbody.halfwidths]
-        yield from itertools.product(*ranges)
-        return
-    assert isinstance(zbody, HPolytope)
-    systems = _scaled_systems(zbody, mu.numerator, mu.denominator)
-
-    def rec(depth: int, prefix: IntPoint) -> Iterator[IntPoint]:
-        if depth == dim - 1:
-            iv = _poly_last_interval(systems[depth], prefix, depth, False)
-            if iv is not None:
-                for t in range(iv[0], iv[1] + 1):
-                    yield prefix + (t,)
-            return
-        iv = _poly_interval(systems[depth], prefix, depth)
-        if iv is None:
-            return
-        for t in range(iv[0], iv[1] + 1):
-            yield from rec(depth + 1, prefix + (t,))
-
-    yield from rec(0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +380,7 @@ def _membership_test(zbody: SymmetricBody, mu: GaugeValue,
     if isinstance(zbody, HPolytope):
         rows = []
         for normal in zbody.normals.entries:
-            lcm = 1
-            for e in normal:
-                lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
+            lcm = math.lcm(*(e.denominator for e in normal))
             rows.append((tuple(int(e * lcm) for e in normal), lcm))
 
         def test_poly(x: IntPoint) -> bool:
@@ -450,10 +394,7 @@ def _membership_test(zbody: SymmetricBody, mu: GaugeValue,
 
         return test_poly
 
-    lcm = 1
-    for row in zbody.gram.entries:
-        for e in row:
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
+    lcm = math.lcm(*(e.denominator for row in zbody.gram.entries for e in row))
     m = [[int(e * lcm) for e in row] for row in zbody.gram.entries]
 
     def test_ell(x: IntPoint) -> bool:
@@ -776,16 +717,13 @@ def _min_outside_poly(view: HPolytope, flat: int, mu: int,
         if depth == flat and not any(prefix):
             return
         ensure_systems()
+        iv = _poly_interval(systems[depth], prefix, depth)
+        if iv is None:
+            return
         if depth == last:
-            iv = _poly_last_interval(systems[depth], prefix, depth, False)
-            if iv is None:
-                return
             base, dirv = _image_run(image_rows, prefix)
             state.absorb_run(iv[0], iv[1], _poly_run_key(key_rows, prefix),
                              base, dirv, flat == dim and not any(prefix))
-            return
-        iv = _poly_interval(systems[depth], prefix, depth)
-        if iv is None:
             return
         for t in _centered(iv[0], iv[1]):
             rec(depth + 1, prefix + (t,))
@@ -842,9 +780,7 @@ def integer_gauge_key(zbody: SymmetricBody):
     ``mu``-dilate).  Sorting integer keys sorts by exact gauge.
     """
     if isinstance(zbody, Box):
-        lcm = 1
-        for w in zbody.halfwidths:
-            lcm = lcm * w.numerator // math.gcd(lcm, w.numerator)
+        lcm = math.lcm(*(w.numerator for w in zbody.halfwidths))
         factors = [w.denominator * (lcm // w.numerator)
                    for w in zbody.halfwidths]
 

@@ -419,10 +419,8 @@ def _squared_gauge_evaluator(zbody: SymmetricBody):
 
         return eval_box
     if isinstance(zbody, Ellipsoid):
-        lcm = 1
-        for row in zbody.gram.entries:
-            for e in row:
-                lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
+        lcm = math.lcm(*(e.denominator for row in zbody.gram.entries
+                         for e in row))
         m = [[int(e * lcm) for e in row] for row in zbody.gram.entries]
 
         def eval_ell(x: Sequence[int]) -> tuple[int, int]:
@@ -451,10 +449,7 @@ def _squared_gauge_evaluator(zbody: SymmetricBody):
 
 
 def _den_lcm(row: Sequence[Fraction]) -> int:
-    lcm = 1
-    for e in row:
-        lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-    return lcm
+    return math.lcm(*(e.denominator for e in row))
 
 
 def _lambda1_squared_oracle(body: SymmetricBody,

@@ -163,6 +163,20 @@ class TestCountCommand:
                              ["count", "--mu=-1"], json.dumps(BOX13_DOC))
         assert rc == 2 and err.startswith("input error: --mu")
         assert len(err.splitlines()) == 1
+        rc, out, err = run_cli(monkeypatch, capsys,
+                               ["fuzz", "--count", "1", "--threads", "0"])
+        assert rc == 2 and err.startswith("input error: --threads")
+        assert out == "" and len(err.splitlines()) == 1
+
+    def test_internal_errors_exit_4(self, monkeypatch, capsys):
+        def broken(body, lattice):
+            raise AssertionError("self-check failed")
+
+        monkeypatch.setattr("latmin.cli.successive_minima", broken)
+        rc, out, err = run_cli(monkeypatch, capsys, ["succmin"],
+                               json.dumps(BOX13_DOC))
+        assert rc == 4 and out == ""
+        assert err == "internal error: AssertionError: self-check failed\n"
 
     def test_invariant_violations_exit_3(self, monkeypatch, capsys):
         doc = {"dim": 2, "body": {"kind": "hpolytope",

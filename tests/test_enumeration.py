@@ -51,6 +51,13 @@ class TestCountExamples:
         assert count_points(UNIT_BOX, STD2, mu) == 9
         assert count_points(ROTATED_SQUARE, STD2, mu) == 5
         assert count_points(ROTATED_SQUARE, STD2, mu, strict=True) == 5
+        # sqrt(4) = 2 is attained exactly, so strict counts drop the boundary.
+        for body, lattice in ((UNIT_BOX, STD2), (BOX13, SKEW),
+                              (ROTATED_SQUARE, STD2)):
+            for strict in (False, True):
+                assert count_points(body, lattice, GaugeValue.sqrt_of(4),
+                                    strict=strict) == \
+                    count_points(body, lattice, 2, strict=strict)
 
     def test_zero_dilation(self):
         assert count_points(UNIT_BOX, STD2, 0) == 1
@@ -80,7 +87,8 @@ class TestEnumerate:
             for a, b in pts}
 
     @given(small_instances(), st.sampled_from(
-        [F(1), F(1, 2), F(3, 2), GaugeValue.sqrt_of(2)]),
+        [F(1), F(1, 2), F(3, 2), GaugeValue.sqrt_of(2),
+         GaugeValue.sqrt_of(F(9, 4))]),
         st.booleans())
     def test_enumerate_agrees_with_count(self, inst, mu, strict):
         body, lattice = inst
@@ -97,7 +105,8 @@ class TestEnumerate:
 
 class TestCountProperties:
     @given(small_instances(), st.sampled_from(
-        [F(1), F(2, 3), GaugeValue.sqrt_of(F(3, 2))]), st.booleans())
+        [F(1), F(2, 3), GaugeValue.sqrt_of(F(3, 2)),
+         GaugeValue.sqrt_of(F(9, 4))]), st.booleans())
     def test_matches_definition_level_oracle(self, inst, mu, strict):
         body, lattice = inst
         radius = enclosing_radius(body, lattice, mu)
