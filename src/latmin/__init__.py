@@ -7,7 +7,7 @@ anywhere.  See the README for the command-line interface.
 """
 
 from .bodies import (Box, Ellipsoid, HPolytope, InvalidBodyError,
-                     SymmetricBody, contains, corner_gauge_bound, volume_box,
+                     SymmetricBody, contains, corner_gauge_bound,
                      volume_estimate)
 from .bounds import (DivisorChain, FloorTerms, chain_sublattice,
                      conjecture_rhs, divisor_chain, first_bound_derivation,
@@ -40,7 +40,7 @@ __all__ = [
     "generate", "hnf_left", "kernel_check", "lemma_bound", "main_bound_rhs",
     "minkowski_first_check", "minkowski_second_check", "oracle_campaign",
     "plan_instances", "riemann_slack", "successive_minima", "summarize",
-    "verify", "verify_spec", "volume_box", "volume_estimate",
+    "verify", "verify_spec", "volume_estimate",
 ]
 
 __version__ = "0.1.0"

@@ -517,10 +517,6 @@ def contains(body: SymmetricBody, lam: "Scalar | GaugeValue",
     return g < lam if strict else g <= lam
 
 
-def volume_box(box: Box) -> Fraction:
-    return box.volume
-
-
 def volume_estimate(body: SymmetricBody, lattice: Lattice,
                     resolution: Scalar) -> Fraction:
     """Riemann-sum volume estimate ``r^d * #(K meet r*Lattice) * det``.

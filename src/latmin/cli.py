@@ -364,13 +364,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise ParseError(f"--range: must be in 1..{MAX_COEFF_RANGE}")
     if args.count < 0:
         raise ParseError("--count: must be nonnegative")
-    if args.threads < 1:
-        raise ParseError(f"--threads: must be at least 1, got {args.threads}")
     if args.count == 0:
         return EXIT_OK
     kind = None if args.kind == "any" else args.kind
     specs = plan_instances(args.seed, args.count, dims, kind, args.range)
-    reports, summary = campaign(specs, threads=args.threads)
+    reports, summary = campaign(specs)
 
     if args.out == "csv":
         lines = [",".join(CSV_COLUMNS)]
@@ -482,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 5)")
     p_fuzz.add_argument("--out", choices=("csv", "json"), default="csv",
                         help="per-instance output format (default: csv)")
-    p_fuzz.add_argument("--threads", type=int, default=1,
-                        help="verification worker threads (default: 1)")
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser
 

@@ -4,9 +4,21 @@ Counting ``#(mu*K  meet  Lattice)`` is reduced to the standard lattice: with
 ``Lattice = B @ Z^d`` the points of ``mu*K meet B Z^d`` are exactly ``B y``
 for integer ``y`` in ``mu * (B^-1 K)``, so every routine first pulls the body
 back through the basis and then walks integer vectors coordinate by
-coordinate.  Interval bounds for each coordinate come from the body's cached
-projection cascade; the final coordinate is resolved against the full
-constraint system, which also decides strict (interior) membership exactly.
+coordinate.
+
+One walker, :func:`_walk`, does every such walk (Fincke-Pohst style): it
+takes the integer range of each coordinate from an interval provider and
+yields the last coordinate's range whole, as a leaf run ``(prefix, lo,
+hi)``.  Counting sums the run lengths, enumeration expands the runs, and the
+minima search (:func:`min_key_point_outside`) walks the same way with
+center-out ranges and a provider that reads its shrinking bound.  The ranges
+come from the body's cached projection cascade; the final coordinate is
+resolved against the full constraint system, which also decides strict
+(interior) membership exactly.  For polytopes ``c.x < r`` is ``c.x <= r - 1``
+on integers.  For ellipsoids the last range drops an end that is a root of
+its quadratic: equality holds only at the two real roots, so the open slice
+is still one contiguous range.  Boxes skip the walk: their counts and point
+lists are products of per-axis ranges.
 
 All arithmetic on the hot path is plain integer arithmetic: polytope rows
 and ellipsoid Gram forms are pre-scaled to integers, and a rational dilation
@@ -23,11 +35,12 @@ projections contain those of the dilate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .bodies import (Box, Ellipsoid, HPolytope, InvalidBodyError,
                      SymmetricBody)
@@ -36,6 +49,10 @@ from .lattices import Lattice
 from .matrices import DimensionMismatch, Matrix
 
 IntPoint = tuple[int, ...]
+# The integer range ``(lo, hi)`` of one coordinate, ``None`` when empty.
+Bounds = tuple[int, int] | None
+# The leaf points ``prefix + (t,)`` for ``lo <= t <= hi``.
+Run = tuple[IntPoint, int, int]
 
 
 @dataclass(frozen=True)
@@ -80,7 +97,42 @@ def _isqrt_bound(num: int, den: int, strict: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polytope jobs: lists of integer rows per prefix length
+# the walker
+
+
+def _ascending(lo: int, hi: int) -> range:
+    return range(lo, hi + 1)
+
+
+def _walk(dim: int, interval: Callable[[int, IntPoint], Bounds],
+          span: Callable[[int, int], Iterable[int]] = _ascending,
+          ) -> Iterator[Run]:
+    """Leaf runs ``(prefix, lo, hi)``: the integer points ``prefix + (t,)``,
+    ``lo <= t <= hi``, of the set that ``interval`` describes.
+
+    ``interval(k, prefix)`` is the integer range ``(lo, hi)`` of coordinate
+    ``k`` given the first ``k`` coordinates, or ``None`` when it is empty.
+    The inner coordinates take their values in the order ``span(lo, hi)``;
+    the last coordinate's range is yielded whole, as one run.  The walk is
+    lazy, so ``interval`` may read state that the consumer changes between
+    runs (the search tightens its bound this way)."""
+    last = dim - 1
+
+    def rec(k: int, prefix: IntPoint) -> Iterator[Run]:
+        iv = interval(k, prefix)
+        if iv is None:
+            return
+        if k == last:
+            yield prefix, iv[0], iv[1]
+            return
+        for t in span(*iv):
+            yield from rec(k + 1, prefix + (t,))
+
+    return rec(0, ())
+
+
+# ---------------------------------------------------------------------------
+# polytope levels: lists of integer rows per prefix length
 
 
 def _dilated_systems(body: HPolytope, mu: GaugeValue,
@@ -108,7 +160,7 @@ def _dilated_systems(body: HPolytope, mu: GaugeValue,
     return systems
 
 
-def _poly_interval(rows, prefix: IntPoint, k: int) -> tuple[int, int] | None:
+def _poly_interval(rows, prefix: IntPoint, k: int) -> Bounds:
     """Integer range of coordinate ``k`` under ``rows`` at ``prefix``;
     ``None`` when it is empty."""
     lo = None
@@ -138,32 +190,29 @@ def _poly_interval(rows, prefix: IntPoint, k: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# ellipsoid jobs: integer quadratic forms per prefix length
+# ellipsoid levels: integer quadratic forms per prefix length
 
 
-def _scaled_forms(body: Ellipsoid, num: int, den: int,
-                  sqrt_kind: bool) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
+def _scaled_forms(body: Ellipsoid,
+                  mu: GaugeValue) -> list[tuple[tuple[IntPoint, ...], int]]:
     """Integer forms ``(M, T)`` with ``x M x <= T`` equivalent to membership
-    in the dilated body.  ``num/den`` is the dilation itself for rational
-    dilations, or its *square* when ``sqrt_kind``."""
-    out = []
-    for m, s in body._integer_forms:
-        if sqrt_kind:
-            scaled = tuple(tuple(e * den for e in row) for row in m)
-            out.append((scaled, s * num))
-        else:
-            dd = den * den
-            scaled = tuple(tuple(e * dd for e in row) for row in m)
-            out.append((scaled, s * num * num))
-    return out
+    in the projections of ``mu * body``: each ``x M_k x <= s_k`` becomes
+    ``q x M_k x <= p s_k`` for ``mu^2 = p/q``."""
+    sq = mu.squared()
+    p, q = sq.numerator, sq.denominator
+    return [(tuple(tuple(e * q for e in row) for row in m), s * p)
+            for m, s in body._integer_forms]
 
 
-def _quad_interval(form, prefix: IntPoint,
-                   k: int) -> tuple[int, int, int, int, int] | None:
-    """Closed integer range plus the quadratic data at a prefix.
+def _quad_interval(form, prefix: IntPoint, k: int,
+                   strict: bool = False) -> Bounds:
+    """Integer range of coordinate ``k`` in the slice of ``x M x <= T`` at
+    ``prefix``; ``None`` when it is empty.
 
-    Returns ``(lo, hi, alpha, beta, rest)`` where membership of ``t`` means
-    ``alpha t^2 + 2 beta t + rest <= 0``; ``None`` for an empty slice."""
+    Membership of ``t`` means ``alpha t^2 + 2 beta t + rest <= 0``.  When
+    ``strict`` the range is that of the open slice (``< 0``): equality holds
+    only at the two real roots, so at most the two ends of the closed range
+    drop out and the open slice stays one contiguous range."""
     m, t_bound = form
     alpha = m[k][k]
     beta = 0
@@ -181,36 +230,14 @@ def _quad_interval(form, prefix: IntPoint,
     root = math.isqrt(disc)
     hi = (-beta + root) // alpha
     lo = -((beta + root) // alpha)
+    if strict:
+        if (alpha * lo + 2 * beta) * lo + rest == 0:
+            lo += 1
+        if (alpha * hi + 2 * beta) * hi + rest == 0:
+            hi -= 1
     if lo > hi:
         return None
-    return lo, hi, alpha, beta, rest
-
-
-def _quad_count(form, prefix: IntPoint, k: int, strict: bool) -> int:
-    iv = _quad_interval(form, prefix, k)
-    if iv is None:
-        return 0
-    lo, hi, alpha, beta, rest = iv
-    n = hi - lo + 1
-    if strict:
-        # Equality holds only at the two real roots, so only the extreme
-        # integer candidates can sit on the boundary.
-        for t in {lo, hi}:
-            if alpha * t * t + 2 * beta * t + rest == 0:
-                n -= 1
-    return max(n, 0)
-
-
-def _quad_points(form, prefix: IntPoint, k: int, strict: bool) -> list[int]:
-    iv = _quad_interval(form, prefix, k)
-    if iv is None:
-        return []
-    lo, hi, alpha, beta, rest = iv
-    values = list(range(lo, hi + 1))
-    if strict:
-        values = [t for t in values
-                  if alpha * t * t + 2 * beta * t + rest != 0]
-    return values
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +262,25 @@ def _axis_range(w: Fraction, mu: GaugeValue, strict: bool) -> range:
 # public API
 
 
+def _dilate_runs(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
+                 strict: bool) -> Iterator[Run]:
+    """Leaf runs of the integer points of ``mu * zbody`` (its interior when
+    strict), in lexicographic order."""
+    last = zbody.dim - 1
+    if isinstance(zbody, Ellipsoid):
+        forms = _scaled_forms(zbody, mu)
+
+        def interval(k: int, prefix: IntPoint) -> Bounds:
+            return _quad_interval(forms[k], prefix, k, strict and k == last)
+    else:
+        systems = _dilated_systems(zbody, mu, strict)
+
+        def interval(k: int, prefix: IntPoint) -> Bounds:
+            return _poly_interval(systems[k], prefix, k)
+
+    return _walk(zbody.dim, interval)
+
+
 def count_points(body: SymmetricBody, lattice: Lattice,
                  mu: "GaugeValue | Fraction | int",
                  strict: bool = False) -> int:
@@ -243,41 +289,12 @@ def count_points(body: SymmetricBody, lattice: Lattice,
     if mu.is_zero():
         return 0 if strict else 1
     zbody = _standard_body(body, lattice)
-    dim = zbody.dim
-
-    if isinstance(zbody, Ellipsoid):
-        v = mu.value
-        forms = _scaled_forms(zbody, v.numerator, v.denominator, mu.is_sqrt)
-
-        def rec(depth: int, prefix: IntPoint) -> int:
-            if depth == dim - 1:
-                return _quad_count(forms[depth], prefix, depth, strict)
-            iv = _quad_interval(forms[depth], prefix, depth)
-            if iv is None:
-                return 0
-            return sum(rec(depth + 1, prefix + (t,))
-                       for t in range(iv[0], iv[1] + 1))
-
-        return rec(0, ())
-
     if isinstance(zbody, Box):
         total = 1
         for w in zbody.halfwidths:
             total *= len(_axis_range(w, mu, strict))
         return total
-
-    systems = _dilated_systems(zbody, mu, strict)
-
-    def rec(depth: int, prefix: IntPoint) -> int:
-        iv = _poly_interval(systems[depth], prefix, depth)
-        if iv is None:
-            return 0
-        if depth == dim - 1:
-            return iv[1] - iv[0] + 1
-        return sum(rec(depth + 1, prefix + (t,))
-                   for t in range(iv[0], iv[1] + 1))
-
-    return rec(0, ())
+    return sum(hi - lo + 1 for _, lo, hi in _dilate_runs(zbody, mu, strict))
 
 
 def enumerate_points(body: SymmetricBody, lattice: Lattice,
@@ -294,45 +311,12 @@ def enumerate_points(body: SymmetricBody, lattice: Lattice,
         pts = () if strict else ((0,) * dim,)
         return PointSet(dim, lattice, pts)
     zbody = _standard_body(body, lattice)
-
-    if isinstance(zbody, Ellipsoid):
-        v = mu.value
-        forms = _scaled_forms(zbody, v.numerator, v.denominator, mu.is_sqrt)
-        out: list[IntPoint] = []
-
-        def rec(depth: int, prefix: IntPoint) -> None:
-            if depth == dim - 1:
-                out.extend(prefix + (t,) for t in
-                           _quad_points(forms[depth], prefix, depth, strict))
-                return
-            iv = _quad_interval(forms[depth], prefix, depth)
-            if iv is None:
-                return
-            for t in range(iv[0], iv[1] + 1):
-                rec(depth + 1, prefix + (t,))
-
-        rec(0, ())
-        return PointSet(dim, lattice, tuple(out))
-
     if isinstance(zbody, Box):
         ranges = [_axis_range(w, mu, strict) for w in zbody.halfwidths]
         return PointSet(dim, lattice, tuple(itertools.product(*ranges)))
-
-    systems = _dilated_systems(zbody, mu, strict)
-    out = []
-
-    def rec(depth: int, prefix: IntPoint) -> None:
-        iv = _poly_interval(systems[depth], prefix, depth)
-        if iv is None:
-            return
-        if depth == dim - 1:
-            out.extend(prefix + (t,) for t in range(iv[0], iv[1] + 1))
-            return
-        for t in range(iv[0], iv[1] + 1):
-            rec(depth + 1, prefix + (t,))
-
-    rec(0, ())
-    return PointSet(dim, lattice, tuple(out))
+    return PointSet(dim, lattice, tuple(
+        prefix + (t,) for prefix, lo, hi in _dilate_runs(zbody, mu, strict)
+        for t in range(lo, hi + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,23 +453,77 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
     Returns ``(gauge, x)`` for the winner, or ``None`` when the dilate
     contains no qualifying point.
 
-    The search is a branch-and-bound walk: coordinate intervals at every
-    depth are derived from the best gauge found so far (initially ``mu``)
-    via the projection cascade, and each interval is scanned center-out so
-    the bound tightens after the first root-to-leaf path.  On the final
+    The search is a branch-and-bound run of the same walker that counts and
+    enumerates: coordinate intervals at every depth come from the
+    projection cascade scaled to the best integer key found so far
+    (initially that of ``mu``), rebuilt whenever that key shrinks, and each
+    interval is scanned center-out so the bound tightens after the first
+    root-to-leaf path.  The subspace is left out by giving coordinate
+    ``flat`` an empty interval when the prefix is zero.  On the final
     coordinate the tied points form a contiguous run whose preferred image
     is located analytically, so neither time nor memory grows with the
-    number of lattice points on a tied gauge face.
+    number of lattice points on a tied gauge face.  A box is searched as the
+    polytope with rows ``(+-d e_i, n)`` for ``w_i = n/d``, whose integer key
+    is exactly the box's.
     """
     if not 1 <= flat <= view.dim:
         raise ValueError("flat must be in 1..dim")
     if mu <= 0:
         raise ValueError("mu must be a positive integer")
     if isinstance(view, Box):
-        return _min_outside_box(view, flat, mu, image_rows)
-    if isinstance(view, Ellipsoid):
-        return _min_outside_ellipsoid(view, flat, mu, image_rows)
-    return _min_outside_poly(view, flat, mu, image_rows)
+        view = HPolytope(Matrix.diagonal([1 / w for w in view.halfwidths]))
+    _, to_gauge, threshold = integer_gauge_key(view)
+    state = _OutsideState(threshold(mu))
+    search = _ell_search if isinstance(view, Ellipsoid) else _poly_search
+    build, interval, run_key = search(view)
+    built_for = None
+    levels: list = []
+
+    def level(k: int, prefix: IntPoint) -> Bounds:
+        nonlocal built_for, levels
+        if k == flat and not any(prefix):
+            return None
+        if built_for != state.best:
+            built_for = state.best
+            levels = build(built_for)
+        return interval(levels[k], prefix, k)
+
+    whole = flat == view.dim
+    for prefix, lo, hi in _walk(view.dim, level, _centered):
+        base, dirv = _image_run(image_rows, prefix)
+        state.absorb_run(lo, hi, run_key(prefix), base, dirv,
+                         whole and not any(prefix))
+    return state.result(to_gauge)
+
+
+def _poly_search(view: HPolytope):
+    """``(build, interval, run_key)`` of the polytope search.
+
+    ``build(best)`` scales every cascade row ``c.x <= r`` to
+    ``lcm c.x <= best r``, so its levels bound the points of integer key at
+    most ``best``."""
+    key_rows, lcm = _poly_key_rows(view)
+
+    def build(best: int) -> list[list[tuple[IntPoint, int]]]:
+        return [[(tuple(lcm * c for c in coeffs), best * rhs)
+                 for coeffs, rhs in rows] for rows in view._cascade]
+
+    return build, _poly_interval, functools.partial(_poly_run_key, key_rows)
+
+
+def _ell_search(view: Ellipsoid):
+    """``(build, interval, run_key)`` of the ellipsoid search.
+
+    ``build(best)`` brings the Schur chain ``x M x <= s`` to the scale of
+    the full form ``(M_d, s_d)``: ``s_d x M x <= best s``."""
+    forms = view._integer_forms
+    m_full, s_full = forms[-1]
+
+    def build(best: int) -> list[tuple[tuple[IntPoint, ...], int]]:
+        return [(tuple(tuple(e * s_full for e in row) for row in m), best * s)
+                for m, s in forms]
+
+    return build, _quad_interval, functools.partial(_quad_run_key, m_full)
 
 
 def _centered(lo: int, hi: int) -> Iterator[int]:
@@ -666,107 +704,6 @@ def _quad_run_key(m: tuple[IntPoint, ...], prefix: IntPoint):
     c = sum(p * sum(m[i][j] * prefix[j] for j in range(last))
             for i, p in enumerate(prefix) if p)
     return lambda t: (a * t + 2 * b) * t + c
-
-
-def _min_outside_box(view: Box, flat: int, mu: int,
-                     image_rows: tuple[IntPoint, ...]):
-    dim = view.dim
-    _, to_gauge, threshold = integer_gauge_key(view)
-    lcm = threshold(1)
-    factors = [w.denominator * (lcm // w.numerator) for w in view.halfwidths]
-    state = _OutsideState(threshold(mu))
-
-    def rec(depth: int, prefix: IntPoint, pkey: int) -> None:
-        if depth == flat and not any(prefix):
-            return
-        if pkey > state.best:
-            return
-        f = factors[depth]
-        m = state.best // f
-        if depth == dim - 1:
-            base, dirv = _image_run(image_rows, prefix)
-            state.absorb_run(-m, m, lambda t: max(pkey, abs(t) * f),
-                             base, dirv, flat == dim and not any(prefix))
-            return
-        for t in _centered(-m, m):
-            rec(depth + 1, prefix + (t,), max(pkey, abs(t) * f))
-
-    rec(0, (), 0)
-    return state.result(to_gauge)
-
-
-def _min_outside_poly(view: HPolytope, flat: int, mu: int,
-                      image_rows: tuple[IntPoint, ...]):
-    dim = view.dim
-    last = dim - 1
-    _, to_gauge, threshold = integer_gauge_key(view)
-    key_rows, lcm = _poly_key_rows(view)
-    raw = view._cascade
-    state = _OutsideState(threshold(mu))
-    built_for = None
-    systems: list[list[tuple[tuple[int, ...], int]]] = []
-
-    def ensure_systems() -> None:
-        nonlocal built_for, systems
-        if built_for != state.best:
-            built_for = state.best
-            systems = [[(tuple(lcm * c for c in coeffs), state.best * rhs)
-                        for coeffs, rhs in rows] for rows in raw]
-
-    def rec(depth: int, prefix: IntPoint) -> None:
-        if depth == flat and not any(prefix):
-            return
-        ensure_systems()
-        iv = _poly_interval(systems[depth], prefix, depth)
-        if iv is None:
-            return
-        if depth == last:
-            base, dirv = _image_run(image_rows, prefix)
-            state.absorb_run(iv[0], iv[1], _poly_run_key(key_rows, prefix),
-                             base, dirv, flat == dim and not any(prefix))
-            return
-        for t in _centered(iv[0], iv[1]):
-            rec(depth + 1, prefix + (t,))
-
-    rec(0, ())
-    return state.result(to_gauge)
-
-
-def _min_outside_ellipsoid(view: Ellipsoid, flat: int, mu: int,
-                           image_rows: tuple[IntPoint, ...]):
-    dim = view.dim
-    last = dim - 1
-    _, to_gauge, threshold = integer_gauge_key(view)
-    raw = view._integer_forms
-    m_full, s_full = raw[last]
-    state = _OutsideState(threshold(mu))
-    built_for = None
-    forms: list[tuple[tuple[tuple[int, ...], ...], int]] = []
-
-    def ensure_forms() -> None:
-        nonlocal built_for, forms
-        if built_for != state.best:
-            built_for = state.best
-            forms = [(tuple(tuple(e * s_full for e in row) for row in m),
-                      state.best * s) for m, s in raw]
-
-    def rec(depth: int, prefix: IntPoint) -> None:
-        if depth == flat and not any(prefix):
-            return
-        ensure_forms()
-        iv = _quad_interval(forms[depth], prefix, depth)
-        if iv is None:
-            return
-        if depth == last:
-            base, dirv = _image_run(image_rows, prefix)
-            state.absorb_run(iv[0], iv[1], _quad_run_key(m_full, prefix),
-                             base, dirv, flat == dim and not any(prefix))
-            return
-        for t in _centered(iv[0], iv[1]):
-            rec(depth + 1, prefix + (t,))
-
-    rec(0, ())
-    return state.result(to_gauge)
 
 
 def integer_gauge_key(zbody: SymmetricBody):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -269,7 +268,6 @@ def verify(body: SymmetricBody, lattice: Lattice,
     canon = canonicalize(body, lattice)
     mins = canon.minima
     standard = Lattice.standard(dim)
-    count = count_points(canon.body, standard, GaugeValue.rational(1))
 
     q = floor_terms(mins)
     first = first_bound_rhs(mins)
@@ -279,6 +277,7 @@ def verify(body: SymmetricBody, lattice: Lattice,
     sub = chain_sublattice(chain, standard)
     kernel_ok = kernel_check(canon.body, chain)
     lemma_lhs, lemma_rhs = lemma_bound(canon.body, standard, sub)
+    count = lemma_lhs  # #(K meet Z^d), the lemma's left-hand side
 
     checks: dict[str, str] = {}
     checks["monotone-minima"] = "pass" if _monotone(mins.minima) else "fail"
@@ -374,24 +373,12 @@ def summarize(reports: Sequence[VerificationReport]) -> CampaignSummary:
 
 
 def campaign(specs: Iterable[InstanceSpec], *, minkowski: str = "auto",
-             volume_resolution: Fraction = Fraction(1, 32), threads: int = 1,
+             volume_resolution: Fraction = Fraction(1, 32),
              ) -> tuple[list[VerificationReport], CampaignSummary]:
-    """Verify many instances (optionally in parallel) and summarize.
-
-    The report list preserves spec order regardless of thread count, so
-    campaign output is deterministic for a fixed spec list.
-    """
-    specs = list(specs)
-
-    def run(spec: InstanceSpec) -> VerificationReport:
-        return verify_spec(spec, minkowski=minkowski,
+    """Verify many instances in spec order and summarize."""
+    reports = [verify_spec(s, minkowski=minkowski,
                            volume_resolution=volume_resolution)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, specs))
-    else:
-        reports = [run(s) for s in specs]
+               for s in specs]
     return reports, summarize(reports)
 
 

@@ -163,10 +163,6 @@ class TestCountCommand:
                              ["count", "--mu=-1"], json.dumps(BOX13_DOC))
         assert rc == 2 and err.startswith("input error: --mu")
         assert len(err.splitlines()) == 1
-        rc, out, err = run_cli(monkeypatch, capsys,
-                               ["fuzz", "--count", "1", "--threads", "0"])
-        assert rc == 2 and err.startswith("input error: --threads")
-        assert out == "" and len(err.splitlines()) == 1
 
     def test_internal_errors_exit_4(self, monkeypatch, capsys):
         def broken(body, lattice):

@@ -12,7 +12,8 @@ from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
 from latmin.enumeration import (axis_extent_bounds, axis_radii,
                                 integer_gauge_key, min_key_point_outside)
 
-from strategies import bodies, instances, lattices
+from strategies import (bodies, boxes, instances, lattices,
+                        shear_unimodulars)
 
 F = Fraction
 STD2 = Lattice.standard(2)
@@ -185,8 +186,9 @@ class TestIntegerGaugeKey:
         assert to_gauge(key(x)) == body.gauge(x)
 
 
-def _brute_outside(zbody, flat, mu):
-    """Reference for the pruned search: enumerate, filter, sort."""
+def _brute_outside(zbody, flat, mu, rows=None):
+    """Reference for the pruned search: enumerate, filter, sort.  Ties are
+    broken on the images ``rows @ p`` (the points themselves by default)."""
     std = Lattice.standard(zbody.dim)
     pts = [p for p in enumerate_points(zbody, std, mu) if any(p[:flat])]
     if not pts:
@@ -198,10 +200,14 @@ def _brute_outside(zbody, flat, mu):
                 return p if v > 0 else tuple(-x for x in p)
         return p
 
-    best = min({canon(p) for p in pts},
-               key=lambda p: (zbody.gauge(p),
-                              tuple(abs(c) for c in reversed(p)), p))
-    return zbody.gauge(best), best
+    def image(p):
+        if rows is None:
+            return p
+        return tuple(sum(r * v for r, v in zip(row, p)) for row in rows)
+
+    return min(((zbody.gauge(p), canon(image(p))) for p in pts),
+               key=lambda gx: (gx[0], tuple(abs(c) for c in reversed(gx[1])),
+                               gx[1]))
 
 
 class TestMinKeyPointOutside:
@@ -241,3 +247,19 @@ class TestMinKeyPointOutside:
         got = min_key_point_outside(zbody, flat, mu,
                                     self._identity_rows(dim))
         assert got == _brute_outside(zbody, flat, mu)
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.tuples(boxes(d, max_num=2, max_den=3),
+                            shear_unimodulars(d))), st.data())
+    def test_box_searches_as_its_polytope(self, box_and_rows, data):
+        # Halfwidth w = n/d gives the polytope rows (+-d e_i, n); the search
+        # must answer the same, including the preferred image under rows.
+        box, u = box_and_rows
+        flat = data.draw(st.integers(1, box.dim))
+        mu = data.draw(st.integers(1, 2))
+        rows = tuple(tuple(int(e) for e in row) for row in u.entries)
+        poly = HPolytope(Matrix.diagonal([1 / w for w in box.halfwidths]))
+        got = min_key_point_outside(box, flat, mu, rows)
+        assert got == min_key_point_outside(poly, flat, mu, rows)
+        assert got == _brute_outside(box, flat, mu, rows)
