@@ -13,24 +13,24 @@ polyhedral shapes and a square root of a rational for ellipsoids; both are
 returned as :class:`~latmin.gauges.GaugeValue` so callers can compare them
 exactly.
 
-Coordinate slicing is the workhorse for point enumeration.  For polytopes we
-keep a cascade of Fourier-Motzkin projections (one per prefix length,
-eliminating the last coordinate first, redundant rows pruned by pairwise
-dominance of parallel rows); for ellipsoids the analogous cascade is the
-chain of Schur complements of the Gram matrix.  Both cascades are kept in
-exact integers (primitive integer rows; integer forms ``x M x <= s``), are
+Point enumeration walks each body through a projection cascade.  For
+polytopes it is a chain of Fourier-Motzkin projections (one per prefix
+length, eliminating the last coordinate first, redundant rows pruned by
+pairwise dominance of parallel rows); for ellipsoids it is the chain of
+Schur complements of the Gram matrix.  Both cascades are kept in exact
+integers (primitive integer rows; integer forms ``x M x <= s``), are
 computed once per body and cached on the instance; fills are idempotent so
 concurrent readers are safe.
 
-``preimage`` through an integer matrix of determinant +-1 (a unimodular
-change of basis, as the minima search and canonicalization use) derives the
-pulled-back body from the parent's cached integer data by congruence instead
-of rebuilding and re-validating it in rational arithmetic: the top polytope
-rows are multiplied by the matrix, the integer Gram form ``M`` becomes
-``U^T M U`` with the same scale.  The checks that the constructors make are
-replaced by ones of equal strength: unimodularity by an integer (Bareiss)
-determinant, polytope rank by the parent's rank, and positive definiteness
-by the positive pivots of the integer Schur chain (Sylvester's criterion).
+``preimage`` writes any nonsingular rational basis as ``Z / D`` (``Z``
+integer, ``D`` the least common denominator) and derives the pulled-back
+body from the parent's cached integer data: a polytope row ``c.x <= r``
+becomes ``(c Z).y <= r D``, the integer Gram form ``(M, s)`` becomes
+``(Z^T M Z, s D^2)``, each reduced to the form the constructor computes.
+The constructors' checks are replaced by ones of equal strength:
+nonsingularity by the integer (Bareiss) determinant of ``Z``, polytope rank
+by the parent's rank, and positive definiteness by positive pivots of the
+integer Schur chain (Sylvester's criterion), as in the constructor.
 """
 
 from __future__ import annotations
@@ -97,6 +97,35 @@ def _row_times(row: Sequence[int], u: Sequence[Sequence[int]]) -> tuple[int, ...
     """Integer row vector times integer matrix."""
     return tuple(sum(r * uk[j] for r, uk in zip(row, u) if r)
                  for j in range(len(u[0])))
+
+
+def _lcd_form(entries: Sequence[Sequence[Fraction]]) -> IntForm:
+    """``(M, s)`` with ``M = s * entries`` for the least common denominator
+    ``s`` of the entries."""
+    s = math.lcm(*(e.denominator for row in entries for e in row))
+    return (tuple(tuple(e.numerator * (s // e.denominator) for e in row)
+                  for row in entries), s)
+
+
+def _schur_chain(form: IntForm) -> tuple[IntForm, ...]:
+    """The forms of :attr:`Ellipsoid._integer_forms` for the Gram form
+    ``form``; raises unless every pivot is positive."""
+    forms = [form]
+    for k in range(len(form[0]), 0, -1):
+        m, s = forms[-1]
+        c = m[k - 1][k - 1]
+        if c <= 0:
+            raise InvalidBodyError("gram matrix must be positive definite")
+        if k == 1:
+            break
+        col = [m[i][k - 1] for i in range(k - 1)]
+        n = [[c * m[i][j] - col[i] * col[j] for j in range(k - 1)]
+             for i in range(k - 1)]
+        g = math.gcd(c * s, *(e for row in n for e in row))
+        forms.append((tuple(tuple(e // g for e in row) for row in n),
+                      c * s // g))
+    forms.reverse()
+    return tuple(forms)
 
 
 def _prune_rows(rows: list[IntRow]) -> list[IntRow]:
@@ -187,23 +216,17 @@ class Box:
         return Box(tuple(w * mu for w in self.halfwidths))
 
     def preimage(self, a: Matrix) -> "SymmetricBody":
-        """The body ``{y : a @ y in self}`` (gauge pulled back through ``a``)."""
-        _unimodular_rows(a, self.dim)
-        if a.is_diagonal():
-            return Box(tuple(w / abs(a[i, i])
-                             for i, w in enumerate(self.halfwidths)))
-        normals = Matrix.from_rows(
-            [[Fraction(int(i == j), 1) / self.halfwidths[i]
-              for j in range(self.dim)] for i in range(self.dim)])
-        return HPolytope(normals @ a)
+        """The body ``{y : a @ y in self}`` (gauge pulled back through ``a``):
+        a box for a diagonal ``a``, else the pull-back of :meth:`polytope`."""
+        if not a.is_diagonal():
+            return self.polytope().preimage(a)
+        _integer_basis(a, self.dim)
+        return Box(tuple(w / abs(a[i, i])
+                         for i, w in enumerate(self.halfwidths)))
 
-    def coordinate_bounds(
-            self, prefix: Sequence[Scalar]) -> tuple[Fraction, Fraction] | None:
-        j = _check_prefix(prefix, self.dim)
-        if any(abs(_frac(p)) > w for p, w in zip(prefix, self.halfwidths)):
-            return None
-        w = self.halfwidths[j]
-        return (-w, w)
+    def polytope(self) -> "HPolytope":
+        """The same body as the polytope with normals ``e_i / w_i``."""
+        return HPolytope(Matrix.diagonal([1 / w for w in self.halfwidths]))
 
     @property
     def volume(self) -> Fraction:
@@ -247,20 +270,21 @@ class HPolytope:
     def preimage(self, a: Matrix) -> "HPolytope":
         """The body ``{y : a @ y in self}``, i.e. normals ``self.normals @ a``.
 
-        For a unimodular ``a`` the rank carries over from this body and the
-        rows of :attr:`_top_rows` stay primitive under ``@ a``, so both are
-        derived in integers rather than rebuilt."""
-        u = _unimodular_rows(a, self.dim)
-        if u is None:
-            return HPolytope(self.normals @ a)
+        With ``a = Z / D`` each row ``c.x <= r`` of :attr:`_top_rows`
+        becomes ``(c Z).y <= r D``, which :func:`_prune_rows` brings to the
+        canonical primitive rows the constructor would compute, in the same
+        order.  The rank carries over because ``Z`` is nonsingular."""
+        z, d = _integer_basis(a, self.dim)
         normals = []
         for row in self.normals.entries:
             den = math.lcm(*(e.denominator for e in row))
             nums = [e.numerator * (den // e.denominator) for e in row]
-            normals.append(tuple(Fraction(v, den) for v in _row_times(nums, u)))
+            normals.append(tuple(Fraction(v, den * d)
+                                 for v in _row_times(nums, z)))
         return _derived(HPolytope, normals=Matrix(tuple(normals)),
-                        _top_rows=tuple((_row_times(coeffs, u), rhs)
-                                        for coeffs, rhs in self._top_rows))
+                        _top_rows=tuple(_prune_rows(
+                            [(_row_times(coeffs, z), rhs * d)
+                             for coeffs, rhs in self._top_rows])))
 
     @cached_property
     def _top_rows(self) -> tuple[IntRow, ...]:
@@ -288,31 +312,6 @@ class HPolytope:
                     "projection interval unbounded; body is not compact")
         return tuple(systems)
 
-    def coordinate_bounds(
-            self, prefix: Sequence[Scalar]) -> tuple[Fraction, Fraction] | None:
-        j = _check_prefix(prefix, self.dim)
-        pref = [_frac(p) for p in prefix]
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for coeffs, rhs in self._cascade[j]:
-            residual = Fraction(rhs) - sum(
-                c * p for c, p in zip(coeffs, pref) if c)
-            c_j = coeffs[j]
-            if c_j == 0:
-                if residual < 0:
-                    return None
-            elif c_j > 0:
-                bound = residual / c_j
-                hi = bound if hi is None or bound < hi else hi
-            else:
-                bound = residual / c_j
-                lo = bound if lo is None or bound > lo else lo
-        if lo is None or hi is None:
-            raise InvalidBodyError("unbounded slice")  # unreachable: rank d
-        if lo > hi:
-            return None
-        return (lo, hi)
-
 
 @dataclass(frozen=True)
 class Ellipsoid:
@@ -326,11 +325,7 @@ class Ellipsoid:
             raise InvalidBodyError("gram matrix must be square")
         if q != q.transpose():
             raise InvalidBodyError("gram matrix must be symmetric")
-        for k in range(1, q.nrows + 1):
-            leading = Matrix.from_rows([row[:k] for row in q.entries[:k]])
-            if leading.det() <= 0:
-                raise InvalidBodyError(
-                    "gram matrix must be positive definite")
+        _schur_chain(_lcd_form(q.entries))  # Sylvester's criterion, uncached
 
     @property
     def dim(self) -> int:
@@ -365,20 +360,21 @@ class Ellipsoid:
     def preimage(self, a: Matrix) -> "Ellipsoid":
         """The body ``{y : a @ y in self}``, with Gram matrix ``a^T Q a``.
 
-        For a unimodular ``a`` the integer form ``(M, s)`` of ``Q`` becomes
-        ``(a^T M a, s)``: the least common denominator is invariant under a
-        unimodular congruence.  Positive definiteness is re-checked by the
-        positive pivots of the view's integer Schur chain."""
-        u = _unimodular_rows(a, self.dim)
-        if u is None:
-            return Ellipsoid(a.transpose() @ self.gram @ a)
+        With ``a = Z / D`` the integer form ``(M, s)`` of ``Q`` becomes
+        ``(Z^T M Z, s D^2)`` divided by the gcd of its entries and scale,
+        which is the least-common-denominator form of ``a^T Q a``.  Positive
+        definiteness is re-checked by the positive pivots of the view's
+        integer Schur chain."""
+        z, d = _integer_basis(a, self.dim)
         m, s = self._integer_gram
-        m_u = [_row_times(row, u) for row in m]
-        congruent = tuple(_row_times(col, m_u) for col in zip(*u))
-        view = _derived(
-            Ellipsoid, _integer_gram=(congruent, s),
-            gram=Matrix(tuple(tuple(Fraction(e, s) for e in row)
-                              for row in congruent)))
+        m_z = [_row_times(row, z) for row in m]
+        congruent = [_row_times(col, m_z) for col in zip(*z)]
+        s *= d * d
+        g = math.gcd(s, *(e for row in congruent for e in row))
+        m = tuple(tuple(e // g for e in row) for row in congruent)
+        s //= g
+        view = _derived(Ellipsoid, _integer_gram=(m, s), gram=Matrix(
+            tuple(tuple(Fraction(e, s) for e in row) for row in m)))
         view._integer_forms  # raises unless every Schur pivot is positive
         return view
 
@@ -386,9 +382,7 @@ class Ellipsoid:
     def _integer_gram(self) -> IntForm:
         """``(M, s)`` with ``M = s * gram`` for the least common denominator
         ``s`` of the entries."""
-        s = math.lcm(*(e.denominator for row in self.gram.entries for e in row))
-        return (tuple(tuple(e.numerator * (s // e.denominator) for e in row)
-                      for row in self.gram.entries), s)
+        return _lcd_form(self.gram.entries)
 
     @cached_property
     def _integer_forms(self) -> tuple[IntForm, ...]:
@@ -401,56 +395,7 @@ class Ellipsoid:
         ``(c M' - m m^T) / (c s)``, reduced by the common gcd.  Every pivot
         ``c`` must be positive (Sylvester's criterion for the congruent
         diagonal form); otherwise the body is not positive definite."""
-        forms = [self._integer_gram]
-        for k in range(self.dim, 0, -1):
-            m, s = forms[-1]
-            c = m[k - 1][k - 1]
-            if c <= 0:
-                raise InvalidBodyError("gram matrix must be positive definite")
-            if k == 1:
-                break
-            col = [m[i][k - 1] for i in range(k - 1)]
-            n = [[c * m[i][j] - col[i] * col[j] for j in range(k - 1)]
-                 for i in range(k - 1)]
-            g = math.gcd(c * s, *(e for row in n for e in row))
-            forms.append((tuple(tuple(e // g for e in row) for row in n),
-                          c * s // g))
-        forms.reverse()
-        return tuple(forms)
-
-    @cached_property
-    def _schur_cascade(self) -> tuple[Matrix, ...]:
-        """The rational Gram matrices ``M / s`` of :attr:`_integer_forms`."""
-        return tuple(Matrix(tuple(tuple(Fraction(e, s) for e in row)
-                                  for row in m))
-                     for m, s in self._integer_forms)
-
-    def coordinate_bounds(
-            self, prefix: Sequence[Scalar]) -> tuple[Fraction, Fraction] | None:
-        """Integer-content bounds for the next coordinate over the slice.
-
-        Ellipsoid slice endpoints are generally irrational; the returned
-        rational interval contains exactly the same integers as the true
-        interval (endpoints resolved by exact integer-square comparisons).
-        Returns ``None`` when the slice is empty.
-        """
-        j = _check_prefix(prefix, self.dim)
-        g = self._schur_cascade[j]
-        pref = [_frac(p) for p in prefix]
-        alpha = g[j, j]
-        beta = sum(g[i, j] * pref[i] for i in range(j))
-        gamma = sum(pref[i] * g[i, k] * pref[k]
-                    for i in range(j) for k in range(j))
-        # alpha t^2 + 2 beta t + (gamma - 1) <= 0, scaled to integers.
-        lcm = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
-        a, b, c = int(alpha * lcm), int(beta * lcm), int((gamma - 1) * lcm)
-        disc = b * b - a * c
-        if disc < 0:
-            return None
-        root = math.isqrt(disc)
-        hi = (-b + root) // a
-        lo = -((b + root) // a)
-        return (Fraction(lo), Fraction(hi))
+        return _schur_chain(self._integer_gram)
 
 
 SymmetricBody = Union[Box, HPolytope, Ellipsoid]
@@ -473,22 +418,16 @@ def _rational_scale(mu: "Scalar | GaugeValue", kind: str) -> Fraction:
     return mu
 
 
-def _unimodular_rows(a: Matrix, dim: int) -> tuple[tuple[int, ...], ...] | None:
-    """Validate a ``preimage`` transform: square of size ``dim`` and
-    nonsingular.  Returns its integer rows when it is unimodular (integer
-    entries, determinant +-1), else ``None``."""
+def _integer_basis(a: Matrix, dim: int) -> IntForm:
+    """Validate a ``preimage`` transform, square of size ``dim`` and
+    nonsingular, and write it as ``Z / D``: returns ``(Z, D)`` with ``Z``
+    an integer matrix and ``D`` the least common denominator."""
     if not a.is_square or a.nrows != dim:
         raise DimensionMismatch("transform has wrong shape")
-    if a.is_integer():
-        rows = tuple(tuple(e.numerator for e in row) for row in a.entries)
-        det = _int_det(rows)
-        if det in (1, -1):
-            return rows
-    else:
-        det = a.det()
-    if det == 0:
+    z, d = _lcd_form(a.entries)
+    if _int_det(z) == 0:
         raise InvalidBodyError("transform must be nonsingular")
-    return None
+    return z, d
 
 
 def _derived(cls, **fields):
@@ -500,13 +439,6 @@ def _derived(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(body, name, value)
     return body
-
-
-def _check_prefix(prefix: Sequence[Scalar], dim: int) -> int:
-    j = len(prefix)
-    if j >= dim:
-        raise DimensionMismatch("prefix already fixes every coordinate")
-    return j
 
 
 def contains(body: SymmetricBody, lam: "Scalar | GaugeValue",

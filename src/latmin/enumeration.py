@@ -398,23 +398,24 @@ def axis_extent_bounds(body: SymmetricBody,
     rational bound on the irrational extent ``sqrt((G^-1)_ii)``)."""
     zbody = _standard_body(body, lattice)
     dim = zbody.dim
+    if isinstance(zbody, Box):
+        return zbody.halfwidths
     if isinstance(zbody, Ellipsoid):
         inv = zbody.gram.inverse()
         return tuple(GaugeValue.sqrt_of(inv[j, j]).rational_upper_bound()
                      for j in range(dim))
     extents = []
     for axis in range(dim):
-        if axis == 0:
-            view = zbody
-        else:
-            swap = Matrix.from_rows(
-                [[int(_swap_entry(i, j, axis)) for j in range(dim)]
-                 for i in range(dim)])
-            view = zbody.preimage(swap)
-        bounds = view.coordinate_bounds(())
-        assert bounds is not None  # a valid body contains the origin
-        lo, hi = bounds
-        extents.append(max(abs(lo), abs(hi)))
+        # Level 0 of the cascade of the view with this axis moved first.
+        view = zbody
+        if axis:
+            order = list(range(dim))
+            order[0], order[axis] = axis, 0
+            view = zbody.preimage(Matrix.from_rows(
+                [[int(j == order[i]) for j in range(dim)]
+                 for i in range(dim)]))
+        extents.append(min(Fraction(rhs, abs(coeffs[0]))
+                           for coeffs, rhs in view._cascade[0]))
     return tuple(extents)
 
 
@@ -432,14 +433,6 @@ def enclosing_radius(body: SymmetricBody, lattice: Lattice,
     """An integer ``R`` such that every point of ``mu*body`` in lattice
     coordinates has ``|y_i| <= R`` for every coordinate."""
     return max(axis_radii(body, lattice, mu), default=0)
-
-
-def _swap_entry(i: int, j: int, axis: int) -> bool:
-    if i == 0:
-        return j == axis
-    if i == axis:
-        return j == 0
-    return i == j
 
 
 def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
@@ -471,7 +464,7 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
     if mu <= 0:
         raise ValueError("mu must be a positive integer")
     if isinstance(view, Box):
-        view = HPolytope(Matrix.diagonal([1 / w for w in view.halfwidths]))
+        view = view.polytope()
     _, to_gauge, threshold = integer_gauge_key(view)
     state = _OutsideState(threshold(mu))
     search = _ell_search if isinstance(view, Ellipsoid) else _poly_search

@@ -29,13 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bodies import Box, Ellipsoid, HPolytope, SymmetricBody, volume_estimate
+from .bodies import (Box, Ellipsoid, HPolytope, SymmetricBody, _int_det,
+                     volume_estimate)
 from .bounds import (chain_sublattice, conjecture_rhs, divisor_chain,
                      first_bound_rhs, floor_terms, kernel_check, lemma_bound,
                      main_bound_rhs, minkowski_first_check,
                      minkowski_second_check, riemann_slack)
-from .enumeration import (axis_extent_bounds, count_oracle, count_points,
-                          enclosing_radius)
+from .enumeration import (_standard_body, axis_extent_bounds, count_oracle,
+                          count_points, enclosing_radius)
 from .gauges import GaugeValue
 from .lattices import Lattice
 from .matrices import Matrix
@@ -240,7 +241,7 @@ def _monotone(minima: Sequence[GaugeValue]) -> bool:
 
 def _witnesses_valid(canon: CanonicalInstance) -> bool:
     wits = canon.minima.witnesses
-    if Matrix.from_columns([list(w) for w in wits]).det() == 0:
+    if _int_det(wits) == 0:
         return False
     for i, (w, lam) in enumerate(zip(wits, canon.minima.minima)):
         if canon.body.gauge(w) != lam:
@@ -447,7 +448,7 @@ def _lambda1_squared_oracle(body: SymmetricBody,
     for mu = 1, 2, 4, ...; once the smallest gauge seen is ``<= mu`` the
     scan provably covered every point that could beat it.
     """
-    zbody = body if lattice.is_standard else body.preimage(lattice.basis)
+    zbody = _standard_body(body, lattice)
     standard = Lattice.standard(body.dim)
     eval_sq = _squared_gauge_evaluator(zbody)
     extents = axis_extent_bounds(zbody, standard)

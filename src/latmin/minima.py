@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bodies import Box, SymmetricBody
-from .enumeration import min_key_point_outside
+from .enumeration import _standard_body, min_key_point_outside
 from .gauges import GaugeValue
 from .lattices import Lattice
 from .matrices import Matrix, align_witnesses
@@ -136,7 +136,7 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
     derives by integer congruence.
     """
     dim = body.dim
-    zbody = body if lattice.is_standard else body.preimage(lattice.basis)
+    zbody = _standard_body(body, lattice)
     if isinstance(zbody, Box):
         return _box_minima(zbody)
 
@@ -173,7 +173,7 @@ def canonicalize(body: SymmetricBody, lattice: Lattice) -> CanonicalInstance:
     all minima) are preserved.  The minima are recomputed on the canonical
     instance as a self-check.
     """
-    zbody = body if lattice.is_standard else body.preimage(lattice.basis)
+    zbody = _standard_body(body, lattice)
     base = successive_minima(zbody, Lattice.standard(body.dim))
     u = align_witnesses(base.witnesses)
     aligned_body = zbody.preimage(u.inverse())

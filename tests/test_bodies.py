@@ -9,6 +9,8 @@ from hypothesis import given
 from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
                     InvalidBodyError, Lattice, Matrix, contains,
                     corner_gauge_bound, volume_estimate)
+from latmin.enumeration import (_dilated_systems, _poly_interval,
+                                _quad_interval, _scaled_forms)
 
 from strategies import (bodies, boxes, ellipsoids, hpolytopes, int_points,
                         nonsingular_int_matrices, positive_fractions)
@@ -59,13 +61,6 @@ class TestBox:
         assert pre.gauge((1, 0)) == F(1, 3)
         assert pre.gauge((0, 1)) == 1
 
-    def test_coordinate_bounds(self):
-        assert BOX13.coordinate_bounds(()) == (-1, 1)
-        assert BOX13.coordinate_bounds((F(1, 2),)) == (-3, 3)
-        assert BOX13.coordinate_bounds((2,)) is None
-        with pytest.raises(DimensionMismatch):
-            BOX13.coordinate_bounds((0, 0))
-
     def test_volume(self):
         assert BOX13.volume == 12
 
@@ -86,12 +81,6 @@ class TestHPolytope:
 
     def test_scale(self):
         assert ROTATED_SQUARE.scale(2).gauge((1, 1)) == 1
-
-    def test_coordinate_bounds(self):
-        assert ROTATED_SQUARE.coordinate_bounds(()) == (-1, 1)
-        assert ROTATED_SQUARE.coordinate_bounds((F(1, 2),)) == \
-            (F(-1, 2), F(1, 2))
-        assert ROTATED_SQUARE.coordinate_bounds((2,)) is None
 
 
 class TestEllipsoid:
@@ -114,12 +103,6 @@ class TestEllipsoid:
         assert doubled.gram == Matrix.diagonal([F(1, 2), F(1, 2)])
         with pytest.raises(ValueError):
             UNIT_DISK.scale(GaugeValue.ZERO)
-
-    def test_coordinate_bounds_integer_content(self):
-        stretched = Ellipsoid(Matrix.diagonal([1, 2]))
-        assert stretched.coordinate_bounds(()) == (-1, 1)
-        assert stretched.coordinate_bounds((1,)) == (0, 0)
-        assert UNIT_DISK.coordinate_bounds((2,)) is None
 
 
 class TestSharedOperations:
@@ -185,11 +168,18 @@ class TestSharedOperations:
 
     @given(st.integers(2, 3).flatmap(bodies), st.data())
     def test_last_coordinate_bounds_match_membership(self, body, data):
+        # The walker's last-level integer range at mu = 1; a box is walked
+        # as its polytope, as the minima search does.
         prefix = data.draw(int_points(body.dim - 1, bound=2))
-        bounds = body.coordinate_bounds(prefix)
-        if bounds is not None and isinstance(body, Ellipsoid):
-            assert bounds[0].denominator == 1
-            assert bounds[1].denominator == 1
+        k = body.dim - 1
+        one = GaugeValue.rational(1)
+        if isinstance(body, Ellipsoid):
+            bounds = _quad_interval(_scaled_forms(body, one)[k], prefix, k)
+        else:
+            if isinstance(body, Box):
+                body = body.polytope()
+            bounds = _poly_interval(_dilated_systems(body, one, False)[k],
+                                    prefix, k)
         for t in range(-8, 9):
             inside = body.gauge(prefix + (t,)) <= 1
             in_interval = bounds is not None and bounds[0] <= t <= bounds[1]

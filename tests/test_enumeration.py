@@ -154,6 +154,10 @@ class TestExtentHelpers:
         assert axis_radii(BOX13, STD2, 2) == (2, 6)
         assert enclosing_radius(BOX13, STD2, 1) == 3
         assert axis_extent_bounds(UNIT_DISK, STD2) == (1, 1)
+        assert axis_extent_bounds(ROTATED_SQUARE, STD2) == (1, 1)
+        # sqrt(1/2) <= 1: the rational upper bound of an irrational extent.
+        assert axis_extent_bounds(Ellipsoid(Matrix.diagonal([1, 2])),
+                                  STD2) == (1, 1)
 
     @given(small_instances())
     def test_extents_cover_all_points(self, inst):

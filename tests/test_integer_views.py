@@ -1,5 +1,6 @@
-"""Integer paths of the minima search: unimodular preimage views, integer
-Fourier-Motzkin pruning, the integer Schur chain and the leaf run keys."""
+"""Integer paths of the pull-back and the minima search: preimage views
+through any rational basis, integer Fourier-Motzkin pruning, the integer
+Schur chain and the leaf run keys."""
 
 import math
 from fractions import Fraction
@@ -10,13 +11,13 @@ from hypothesis import given
 
 from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
                     InvalidBodyError, Matrix)
-from latmin.bodies import _derived, _int_det, _prune_rows, _unimodular_rows
+from latmin.bodies import _derived, _int_det, _integer_basis, _prune_rows
 from latmin.enumeration import (_poly_key_rows, _poly_run_key, _quad_run_key,
                                 integer_gauge_key)
 from latmin.minima import _flag_unimodular
 
 from strategies import (ellipsoids, hpolytopes, int_matrices, int_points,
-                        positive_fractions, shear_unimodulars)
+                        lattices, positive_fractions, shear_unimodulars)
 
 F = Fraction
 
@@ -40,21 +41,31 @@ def _prune_rows_reference(rows):
             for key, ratio in best.items()]
 
 
+def _diagonal_scales(dim):
+    return st.lists(positive_fractions(3, 3), min_size=dim,
+                    max_size=dim).map(Matrix.diagonal)
+
+
 @st.composite
 def rational_polytopes(draw, dim):
-    """Polytopes with rational normals: integer ones, columns rescaled."""
+    """Polytopes with rational normals: integer ones, columns rescaled.
+    Built by the constructor, not by ``preimage``."""
     body = draw(hpolytopes(dim))
-    scale = Matrix.diagonal([draw(positive_fractions(3, 3))
-                             for _ in range(dim)])
-    return body.preimage(scale)
+    return HPolytope(body.normals @ draw(_diagonal_scales(dim)))
 
 
 @st.composite
 def rational_ellipsoids(draw, dim):
     body = draw(ellipsoids(dim, bound=2))
-    scale = Matrix.diagonal([draw(positive_fractions(3, 3))
-                             for _ in range(dim)])
-    return body.preimage(scale)
+    scale = draw(_diagonal_scales(dim))
+    return Ellipsoid(scale.transpose() @ body.gram @ scale)
+
+
+def bases(dim):
+    """Unimodular shears and the lattice bases of the fuzz generator
+    (identity, diagonal, sheared times diagonal)."""
+    return st.one_of(shear_unimodulars(dim),
+                     lattices(dim).map(lambda lat: lat.basis))
 
 
 dims = st.integers(2, 4)
@@ -62,7 +73,7 @@ dims = st.integers(2, 4)
 
 class TestPolytopeViews:
     @given(dims.flatmap(lambda d: st.tuples(rational_polytopes(d),
-                                            shear_unimodulars(d))))
+                                            bases(d))))
     def test_cascade_matches_rebuilt_body(self, case):
         body, u = case
         view = body.preimage(u)
@@ -83,15 +94,14 @@ class TestPolytopeViews:
 
 class TestEllipsoidViews:
     @given(dims.flatmap(lambda d: st.tuples(rational_ellipsoids(d),
-                                            shear_unimodulars(d),
-                                            int_points(d, 3))))
+                                            bases(d), int_points(d, 3))))
     def test_forms_match_rebuilt_body(self, case):
         body, u, y = case
         view = body.preimage(u)
         rebuilt = Ellipsoid(u.transpose() @ body.gram @ u)
         assert view == rebuilt
+        assert view._integer_gram == rebuilt._integer_gram
         assert view._integer_forms == rebuilt._integer_forms
-        assert view._schur_cascade == rebuilt._schur_cascade
         assert view.gauge(y) == rebuilt.gauge(y) == body.gauge(u.apply(y))
 
     def test_schur_pivots_check_definiteness(self):
@@ -120,22 +130,29 @@ class TestTransforms:
             with pytest.raises(DimensionMismatch):
                 body.preimage(Matrix.identity(3))
 
-    def test_non_unimodular_integer_takes_rational_path(self):
-        a = Matrix.diagonal([2, 1])
-        assert _unimodular_rows(a, 2) is None
+    def test_non_unimodular_basis_takes_integer_path(self):
+        # Rows c.x <= r become (c Z).y <= r D, reduced to primitive rows;
+        # the form (M, s) becomes (Z^T M Z, s D^2) over the common gcd.
+        a = Matrix.diagonal([2, F(1, 2)])
         pre = self.SQUARE.preimage(a)
+        assert vars(pre)["_top_rows"] == (
+            ((2, 0), 1), ((-2, 0), 1), ((0, 1), 2), ((0, -1), 2),
+            ((4, 1), 2), ((-4, -1), 2))
         assert pre == HPolytope(self.SQUARE.normals @ a)
-        assert "_top_rows" not in vars(pre)
-        pre = self.DISK.preimage(a)
-        assert pre == Ellipsoid(a.transpose() @ self.DISK.gram @ a)
-        assert "_integer_gram" not in vars(pre)
+        pre = self.DISK.preimage(Matrix.diagonal([F(1, 2), 1]))
+        assert vars(pre)["_integer_gram"] == (((1, 1), (1, 6)), 2)
+        assert pre.gram == Matrix.from_rows([[F(1, 2), F(1, 2)],
+                                             [F(1, 2), 3]])
 
-    def test_unimodular_rows(self):
+    def test_integer_basis(self):
+        a = Matrix.from_rows([[2, F(1, 3)], [F(-1, 2), 1]])
+        assert _integer_basis(a, 2) == (((12, 2), (-3, 6)), 6)
         u = Matrix.from_rows([[2, 1], [1, 1]])
-        assert _unimodular_rows(u, 2) == ((2, 1), (1, 1))
-        assert _unimodular_rows(Matrix.diagonal([1, -1]), 2) == \
-            ((1, 0), (0, -1))
-        assert _unimodular_rows(Matrix.diagonal([F(1, 2), 2]), 2) is None
+        assert _integer_basis(u, 2) == (((2, 1), (1, 1)), 1)
+        with pytest.raises(InvalidBodyError):
+            _integer_basis(Matrix.from_rows([[F(1, 2), 1], [1, 2]]), 2)
+        with pytest.raises(DimensionMismatch):
+            _integer_basis(u, 3)
 
     @given(st.integers(1, 5).flatmap(lambda d: int_matrices(d, 4)))
     def test_bareiss_determinant(self, m):
