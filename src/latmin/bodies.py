@@ -217,12 +217,20 @@ class Box:
 
     def preimage(self, a: Matrix) -> "SymmetricBody":
         """The body ``{y : a @ y in self}`` (gauge pulled back through ``a``):
-        a box for a diagonal ``a``, else the pull-back of :meth:`polytope`."""
-        if not a.is_diagonal():
+        a box for a monomial ``a`` (one nonzero entry per row and column),
+        else the pull-back of :meth:`polytope`.
+
+        Row ``i`` of a monomial ``a`` reads ``a_ij y_j`` for one ``j``, so
+        ``|a_ij y_j| <= w_i`` bounds axis ``j`` by ``w_i / |a_ij|``."""
+        support = [[j for j, e in enumerate(row) if e] for row in a.entries]
+        axes = [s[0] for s in support if len(s) == 1]
+        if not (a.is_square and a.nrows == self.dim
+                and sorted(axes) == list(range(self.dim))):
             return self.polytope().preimage(a)
-        _integer_basis(a, self.dim)
-        return Box(tuple(w / abs(a[i, i])
-                         for i, w in enumerate(self.halfwidths)))
+        widths = [Fraction(0)] * self.dim
+        for i, (j, w) in enumerate(zip(axes, self.halfwidths)):
+            widths[j] = w / abs(a[i, j])
+        return Box(tuple(widths))
 
     def polytope(self) -> "HPolytope":
         """The same body as the polytope with normals ``e_i / w_i``."""

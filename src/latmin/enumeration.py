@@ -262,10 +262,10 @@ def _axis_range(w: Fraction, mu: GaugeValue, strict: bool) -> range:
 # public API
 
 
-def _dilate_runs(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
-                 strict: bool) -> Iterator[Run]:
-    """Leaf runs of the integer points of ``mu * zbody`` (its interior when
-    strict), in lexicographic order."""
+def _dilate_interval(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
+                     strict: bool) -> Callable[[int, IntPoint], Bounds]:
+    """The walker's interval provider for ``mu * zbody`` (its interior when
+    strict)."""
     last = zbody.dim - 1
     if isinstance(zbody, Ellipsoid):
         forms = _scaled_forms(zbody, mu)
@@ -278,7 +278,39 @@ def _dilate_runs(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
         def interval(k: int, prefix: IntPoint) -> Bounds:
             return _poly_interval(systems[k], prefix, k)
 
-    return _walk(zbody.dim, interval)
+    return interval
+
+
+def _dilate_runs(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
+                 strict: bool) -> Iterator[Run]:
+    """Leaf runs of the integer points of ``mu * zbody`` (its interior when
+    strict), in lexicographic order."""
+    return _walk(zbody.dim, _dilate_interval(zbody, mu, strict))
+
+
+def open_point_outside(view: SymmetricBody, mu: GaugeValue, flat: int) -> bool:
+    """Does the open dilate ``mu * view`` hold an integer point whose first
+    ``flat`` coordinates are not all zero?
+
+    One strict walk that stops at the first run holding such a point.  As in
+    :func:`min_key_point_outside`, coordinate ``flat`` gets an empty interval
+    when the prefix is zero, so the subspace is never walked; with ``flat ==
+    dim`` only the origin is left out.  A box holds such a point iff one of
+    its first ``flat`` open axis ranges holds a nonzero integer."""
+    if not 1 <= flat <= view.dim:
+        raise ValueError("flat must be in 1..dim")
+    if isinstance(view, Box):
+        return any(len(_axis_range(w, mu, True)) > 1
+                   for w in view.halfwidths[:flat])
+    interval = _dilate_interval(view, mu, True)
+
+    def level(k: int, prefix: IntPoint) -> Bounds:
+        if k == flat and not any(prefix):
+            return None
+        return interval(k, prefix)
+
+    return any(any(prefix) or lo or hi
+               for prefix, lo, hi in _walk(view.dim, level))
 
 
 def count_points(body: SymmetricBody, lattice: Lattice,

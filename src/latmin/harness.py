@@ -40,7 +40,8 @@ from .enumeration import (_standard_body, axis_extent_bounds, count_oracle,
 from .gauges import GaugeValue
 from .lattices import Lattice
 from .matrices import Matrix
-from .minima import CanonicalInstance, canonicalize, successive_minima
+from .minima import (CanonicalInstance, align, canonicalize,
+                     successive_minima)
 
 MAX_DIM = 6
 MAX_COEFF_RANGE = 16
@@ -472,22 +473,31 @@ def oracle_campaign(specs: Iterable[InstanceSpec]) -> bool:
     """Do the fast paths agree with definition-level scans on every spec?
 
     Compares ``count_points`` against ``count_oracle`` (closed and strict)
-    and the computed first minimum against a brute-force minimum.  Only
-    sensible at small dimension; callers keep ``dim <= 3``.
+    and the computed first minimum against a brute-force minimum.  The
+    scans run in whichever basis has the smaller :func:`enclosing_radius`:
+    the lattice's own, or the standard basis of the body aligned to the
+    search's witnesses (:func:`align`).  A unimodular change of basis keeps
+    every count and minimum, and a skewed lattice basis can make the
+    lattice's own scan cube vastly larger than the body.  Only sensible at
+    small dimension; callers keep ``dim <= 3``.
     """
     one = GaugeValue.rational(1)
     for spec in specs:
         if spec.dim > 3:
             raise ValueError("oracle comparisons are limited to dim <= 3")
         body, lattice = generate(spec)
-        radius = enclosing_radius(body, lattice, one)
-        if count_points(body, lattice, one) != count_oracle(
-                body, lattice, one, radius):
-            return False
-        if count_points(body, lattice, one, strict=True) != count_oracle(
-                body, lattice, one, radius, strict=True):
-            return False
         mins = successive_minima(body, lattice)
-        if mins.minima[0].squared() != _lambda1_squared_oracle(body, lattice):
+        aligned, _ = align(_standard_body(body, lattice), mins.witnesses)
+        standard = Lattice.standard(spec.dim)
+        scan_body, scan_lattice, radius = min(
+            ((body, lattice, enclosing_radius(body, lattice, one)),
+             (aligned, standard, enclosing_radius(aligned, standard, one))),
+            key=lambda scan: scan[2])
+        for strict in (False, True):
+            if count_points(body, lattice, one, strict) != count_oracle(
+                    scan_body, scan_lattice, one, radius, strict):
+                return False
+        if mins.minima[0].squared() != _lambda1_squared_oracle(
+                scan_body, scan_lattice):
             return False
     return True

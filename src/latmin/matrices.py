@@ -112,10 +112,6 @@ class Matrix:
     def is_integer(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)
 
-    def is_diagonal(self) -> bool:
-        return all(e == 0 for i, row in enumerate(self.entries)
-                   for j, e in enumerate(row) if i != j)
-
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "Matrix":

@@ -23,8 +23,11 @@ by preferring support on earlier coordinates, after normalizing each
 
 ``canonicalize`` moves an instance to the standard lattice and applies the
 unimodular change of basis that aligns witness ``i`` with the span of the
-first ``i`` standard basis vectors, then recomputes the minima to confirm
-nothing moved.
+first ``i`` standard basis vectors.  It then certifies from the definition
+that the aligned body has the same minima: each aligned witness has its
+minimum's gauge and a nonzero ``i``-th entry, and the open dilate at the
+``i``-th minimum holds no integer point outside the span of the first
+``i - 1`` basis vectors, which one strict walk per minimum checks.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bodies import Box, SymmetricBody
-from .enumeration import _standard_body, min_key_point_outside
+from .enumeration import (_standard_body, min_key_point_outside,
+                          open_point_outside)
 from .gauges import GaugeValue
 from .lattices import Lattice
 from .matrices import Matrix, align_witnesses
@@ -164,26 +168,70 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
     return MinimaResult(tuple(minima), tuple(witnesses))
 
 
+def align(zbody: SymmetricBody, witnesses: tuple[IntPoint, ...],
+          ) -> tuple[SymmetricBody, tuple[IntPoint, ...]]:
+    """The body and witnesses moved onto the standard flag.
+
+    ``witnesses`` are ``d`` independent integer points in the coordinates of
+    ``zbody``.  With the unimodular ``u`` of :func:`align_witnesses`, returns
+    the pull-back of ``zbody`` through ``u^-1`` and the points ``u w``, so
+    witness ``i`` lies in the span of the first ``i`` standard basis vectors
+    and every gauge (hence every count and minimum over the standard
+    lattice) is unchanged."""
+    u = align_witnesses(witnesses)
+    aligned_wits = tuple(tuple(int(c) for c in u.apply(w)) for w in witnesses)
+    return zbody.preimage(u.inverse()), aligned_wits
+
+
+def _certify_flag(body: SymmetricBody, minima: tuple[GaugeValue, ...],
+                  witnesses: tuple[IntPoint, ...]) -> None:
+    """Raise unless ``minima`` are the successive minima of ``body`` over
+    the standard lattice, for flag-aligned ``witnesses``.
+
+    Three checks for each ``i`` (1-based, ``w_i`` the ``i``-th witness):
+    (a) ``gauge(w_i) = lambda_i``; (b) ``w_i`` lies in ``span(e_1..e_i)``
+    with a nonzero ``i``-th entry; (c) the open dilate ``lambda_i * body``
+    holds no integer point outside ``span(e_1..e_{i-1})``.
+
+    Every ``w_j`` with ``j >= i`` lies outside that span by (b), so (a) and
+    (c) give ``lambda_j >= lambda_i``: the minima are sorted.  Then
+    ``w_1..w_i`` are ``i`` independent points (b) of gauge at most
+    ``lambda_i`` (a), so the ``i``-th minimum of ``body`` is at most
+    ``lambda_i``.  Any ``i`` independent points of gauge below ``lambda_i``
+    include one outside the ``(i-1)``-dimensional span, which (c) rules
+    out, so it is at least ``lambda_i``.  The proof uses only the
+    definition of the minima, none of the search's tie-breaking.
+
+    For (c) the body is pulled back once through the coordinate reversal,
+    which turns ``span(e_1..e_{i-1})`` into the points whose first
+    ``d - i + 1`` coordinates vanish: the subspace that
+    :func:`open_point_outside` leaves out."""
+    dim = body.dim
+    for i, (w, lam) in enumerate(zip(witnesses, minima)):
+        if body.gauge(w) != lam:
+            raise AssertionError("alignment changed a witness gauge")
+        if not w[i] or any(w[i + 1:]):
+            raise AssertionError("witnesses are not aligned with the flag")
+    reversed_body = body.preimage(Matrix.from_rows(
+        [[int(i + j == dim - 1) for j in range(dim)] for i in range(dim)]))
+    for i, lam in enumerate(minima):
+        if open_point_outside(reversed_body, lam, dim - i):
+            raise AssertionError("canonicalization changed the minima")
+
+
 def canonicalize(body: SymmetricBody, lattice: Lattice) -> CanonicalInstance:
     """Standard-lattice instance with witnesses aligned to the flag.
 
     The returned body is the original pulled back through the lattice basis
-    and then mapped by the unimodular alignment, so witness ``i`` lies in
-    the span of the first ``i`` standard basis vectors and all gauges (hence
-    all minima) are preserved.  The minima are recomputed on the canonical
-    instance as a self-check.
+    and then mapped by the unimodular alignment (:func:`align`), so witness
+    ``i`` lies in the span of the first ``i`` standard basis vectors and all
+    gauges (hence all minima) are preserved.  :func:`_certify_flag` then
+    proves from the definition that the aligned body has the same minima,
+    with one strict walk per minimum instead of a second search.
     """
     zbody = _standard_body(body, lattice)
     base = successive_minima(zbody, Lattice.standard(body.dim))
-    u = align_witnesses(base.witnesses)
-    aligned_body = zbody.preimage(u.inverse())
-    aligned_wits = tuple(tuple(int(c) for c in u.apply(w))
-                         for w in base.witnesses)
-    for w, lam in zip(aligned_wits, base.minima):
-        if aligned_body.gauge(w) != lam:
-            raise AssertionError("alignment changed a witness gauge")
-    recheck = successive_minima(aligned_body, Lattice.standard(body.dim))
-    if recheck.minima != base.minima:
-        raise AssertionError("canonicalization changed the minima")
+    aligned_body, aligned_wits = align(zbody, base.witnesses)
+    _certify_flag(aligned_body, base.minima, aligned_wits)
     return CanonicalInstance(aligned_body,
                              MinimaResult(base.minima, aligned_wits))

@@ -55,11 +55,27 @@ class TestBox:
         assert BOX13.preimage(Matrix.diagonal([2, F(1, 2)])) == \
             Box((F(1, 2), F(6)))
 
+    def test_preimage_monomial_stays_box(self):
+        assert BOX13.preimage(Matrix.from_rows([[0, 1], [1, 0]])) == \
+            Box((F(3), F(1)))
+        # Signed and scaled: |2 y_1| <= 1 and |-y_0| <= 3.
+        assert BOX13.preimage(Matrix.from_rows([[0, 2], [-1, 0]])) == \
+            Box((F(3), F(1, 2)))
+        with pytest.raises(InvalidBodyError):
+            BOX13.preimage(Matrix.from_rows([[0, 1], [0, 1]]))
+        # Diagonal bases take the same path, and so do their errors.
+        assert BOX13.preimage(Matrix.diagonal([-1, 3])) == Box((F(1), F(1)))
+        with pytest.raises(InvalidBodyError):
+            BOX13.preimage(Matrix.diagonal([1, 0]))
+        with pytest.raises(DimensionMismatch):
+            BOX13.preimage(Matrix.identity(3))
+
     def test_preimage_general_becomes_polytope(self):
-        pre = BOX13.preimage(Matrix.from_rows([[0, 1], [1, 0]]))
+        pre = BOX13.preimage(Matrix.from_rows([[1, 1], [0, 1]]))
         assert isinstance(pre, HPolytope)
-        assert pre.gauge((1, 0)) == F(1, 3)
+        assert pre.gauge((1, 0)) == 1
         assert pre.gauge((0, 1)) == 1
+        assert pre.gauge((1, -1)) == F(1, 3)
 
     def test_volume(self):
         assert BOX13.volume == 12

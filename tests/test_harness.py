@@ -4,12 +4,18 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from latmin import (Box, GaugeValue, InstanceSpec, Lattice, campaign,
-                    generate, oracle_campaign, plan_instances, summarize,
-                    verify, verify_spec)
+                    count_oracle, count_points, enclosing_radius, generate,
+                    oracle_campaign, plan_instances, successive_minima,
+                    summarize, verify, verify_spec)
+from latmin.enumeration import _standard_body
 from latmin.harness import (BODY_KINDS, CHECK_NAMES, LATTICE_KINDS, MAX_DIM,
-                            SplitMix64)
+                            SplitMix64, _lambda1_squared_oracle)
+from latmin.minima import align
+
+from strategies import instances
 
 F = Fraction
 
@@ -160,3 +166,31 @@ class TestCampaign:
                            lattice_kind="identity")
         with pytest.raises(ValueError):
             oracle_campaign([big])
+
+    def test_oracle_campaign_on_a_skewed_polytope(self):
+        # Its lattice basis is so skewed that a count scan in the lattice's
+        # own coordinates covers 257^3 (about 1.7e7) points for 7 lattice
+        # points; in the aligned basis it covers 5^3.
+        spec = InstanceSpec(seed=14777826839175547473, dim=3,
+                            body_kind="hpolytope", coeff_range=5,
+                            lattice_kind="random-unimodular-times-diagonal")
+        assert oracle_campaign([spec])
+
+
+class TestOracleBases:
+    @settings(max_examples=40)
+    @given(instances(max_dim=3, small=True))
+    def test_oracles_agree_in_both_bases(self, inst):
+        body, lattice = inst
+        one = GaugeValue.rational(1)
+        mins = successive_minima(body, lattice)
+        aligned, _ = align(_standard_body(body, lattice), mins.witnesses)
+        standard = Lattice.standard(body.dim)
+        lam1_sq = mins.minima[0].squared()
+        for scan_body, scan_lattice in ((body, lattice), (aligned, standard)):
+            radius = enclosing_radius(scan_body, scan_lattice, one)
+            for strict in (False, True):
+                assert count_oracle(scan_body, scan_lattice, one, radius,
+                                    strict) == \
+                    count_points(body, lattice, one, strict)
+            assert _lambda1_squared_oracle(scan_body, scan_lattice) == lam1_sq

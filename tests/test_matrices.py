@@ -61,8 +61,6 @@ class TestConstruction:
         assert m[1, 0] == 4
         assert m.is_integer()
         assert not Matrix.from_rows([[Fraction(1, 2)]]).is_integer()
-        assert Matrix.diagonal([1, 2]).is_diagonal()
-        assert not m.is_diagonal()
 
 
 class TestArithmetic:

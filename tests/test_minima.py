@@ -6,9 +6,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import latmin.minima
 from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
                     MinimaResult, canonicalize, count_points,
                     enumerate_points, successive_minima)
+from latmin.minima import _certify_flag
 
 from strategies import instances
 
@@ -144,10 +146,10 @@ class TestProperties:
 
 class TestCanonicalize:
     def test_axis_box_example(self):
+        # The alignment swaps the axes, and a box pulled back through a
+        # permutation stays a box.
         canon = canonicalize(Box((F(1), F(3))), STD2)
-        assert isinstance(canon.body, HPolytope)
-        assert canon.body.normals == Matrix.from_rows(
-            [[0, 1], [F(1, 3), 0]])
+        assert canon.body == Box((F(3), F(1)))
         assert canon.minima.minima == (GaugeValue.rational(F(1, 3)),
                                        GaugeValue.rational(1))
         assert canon.minima.witnesses == ((1, 0), (0, 1))
@@ -167,3 +169,52 @@ class TestCanonicalize:
             count_points(body, lattice, 1)
         assert count_points(canon.body, std, 2, strict=True) == \
             count_points(body, lattice, 2, strict=True)
+
+
+class TestFlagCertificate:
+    """``_certify_flag`` proves the aligned body keeps the minima; each
+    rejection below is one of its three checks firing."""
+
+    @given(instances(max_dim=3))
+    def test_accepts_canonical_instances(self, inst):
+        canon = canonicalize(*inst)
+        _certify_flag(canon.body, canon.minima.minima, canon.minima.witnesses)
+
+    @given(instances(max_dim=3, small=True), st.data())
+    def test_rejects_an_inflated_minimum(self, inst, data):
+        canon = canonicalize(*inst)
+        minima = list(canon.minima.minima)
+        i = data.draw(st.integers(0, len(minima) - 1))
+        minima[i] = minima[i] * F(11, 10)
+        with pytest.raises(AssertionError, match="witness gauge"):
+            _certify_flag(canon.body, tuple(minima), canon.minima.witnesses)
+
+    @given(instances(max_dim=3, small=True), st.data())
+    def test_rejects_a_doubled_witness_with_its_own_gauge(self, inst, data):
+        # Checks (a) and (b) hold for 2 w_i at gauge 2 lambda_i; only the
+        # walk (c) sees w_i itself below that gauge.
+        canon = canonicalize(*inst)
+        minima = list(canon.minima.minima)
+        wits = list(canon.minima.witnesses)
+        i = data.draw(st.integers(0, len(wits) - 1))
+        wits[i] = tuple(2 * c for c in wits[i])
+        minima[i] = canon.body.gauge(wits[i])
+        with pytest.raises(AssertionError, match="changed the minima"):
+            _certify_flag(canon.body, tuple(minima), tuple(wits))
+
+    def test_rejects_a_zero_diagonal_entry(self):
+        body = Box((F(3), F(1)))
+        third, one = GaugeValue.rational(F(1, 3)), GaugeValue.rational(1)
+        _certify_flag(body, (third, one), ((1, 0), (0, 1)))
+        # (3, 0) has the second minimum's gauge but lies in span(e_1).
+        with pytest.raises(AssertionError, match="flag"):
+            _certify_flag(body, (third, one), ((1, 0), (3, 0)))
+
+    def test_canonicalize_rejects_a_non_minimal_witness(self, monkeypatch):
+        def fake_search(body, lattice):
+            return MinimaResult((GaugeValue.rational(F(1, 3)),
+                                 GaugeValue.rational(2)), ((0, 1), (2, 0)))
+
+        monkeypatch.setattr(latmin.minima, "successive_minima", fake_search)
+        with pytest.raises(AssertionError, match="changed the minima"):
+            canonicalize(Box((F(1), F(3))), STD2)
