@@ -15,12 +15,23 @@ exactly.
 
 Point enumeration walks each body through a projection cascade.  For
 polytopes it is a chain of Fourier-Motzkin projections (one per prefix
-length, eliminating the last coordinate first, redundant rows pruned by
-pairwise dominance of parallel rows); for ellipsoids it is the chain of
-Schur complements of the Gram matrix.  Both cascades are kept in exact
-integers (primitive integer rows; integer forms ``x M x <= s``), are
+length, eliminating the last coordinate first); for ellipsoids it is the
+chain of Schur complements of the Gram matrix.  Both cascades are kept in
+exact integers (primitive integer rows; integer forms ``x M x <= s``), are
 computed once per body and cached on the instance; fills are idempotent so
 concurrent readers are safe.
+
+Each Fourier-Motzkin row remembers the set of original rows it was built
+from.  Besides keeping only the tightest of parallel rows, the elimination
+drops the rows that Chernikov's rule (more than ``k + 1`` original rows
+after ``k`` eliminations) and Kohler's rule (a set that strictly contains
+another kept row's set) prove implied by the others (Imbert 1993).  That
+keeps every level at the size of the projection itself: without the rules
+a dim-6 polytope reaches tens of thousands of rows.  Only the last level,
+the body's own rows, decides membership; the walks, the minima search and
+the axis extents use the inner levels only as containers of the
+projections, so a row dropped in error could only enlarge an inner level:
+it would cost walking time, not give a wrong answer.
 
 ``preimage`` writes any nonsingular rational basis as ``Z / D`` (``Z``
 integer, ``D`` the least common denominator) and derives the pulled-back
@@ -154,28 +165,67 @@ def _prune_rows(rows: list[IntRow]) -> list[IntRow]:
     return out
 
 
-def _eliminate_last(rows: list[IntRow], width: int) -> list[IntRow]:
-    """Fourier-Motzkin elimination of variable ``width - 1``."""
-    zero: list[IntRow] = []
-    pos: list[IntRow] = []
-    neg: list[IntRow] = []
-    for coeffs, rhs in rows:
+def _eliminate_last(rows: list[IntRow], hists: list[int], width: int,
+                    limit: int) -> tuple[list[IntRow], list[int]]:
+    """Fourier-Motzkin elimination of variable ``width - 1``.
+
+    ``hists[i]`` is the set of original rows that ``rows[i]`` was built
+    from, as a bitmask; the result carries the sets of its rows.  Besides
+    the parallel-row pruning of :func:`_prune_rows` two rules drop rows
+    that the others imply (Imbert 1993):
+
+    * Chernikov (1965): a combination of more than ``limit`` original
+      rows, ``limit`` being one more than the number of variables
+      eliminated so far, is never built;
+    * Kohler (1967): a row whose set strictly contains the set of another
+      kept row is dropped.
+
+    Of tied parallel rows the one with the smaller set is kept.  By the
+    two rules' theorems every dropped row is implied by the kept ones, so
+    the result is the same projection; a row dropped in error could only
+    enlarge it, never shrink it."""
+    zero: list[tuple[IntRow, int]] = []
+    pos: list[tuple[IntRow, int]] = []
+    neg: list[tuple[IntRow, int]] = []
+    for (coeffs, rhs), h in zip(rows, hists):
         last = coeffs[width - 1]
         if last == 0:
-            zero.append((coeffs[:width - 1], rhs))
+            zero.append(((coeffs[:width - 1], rhs), h))
         elif last > 0:
-            pos.append((coeffs, rhs))
+            pos.append(((coeffs, rhs), h))
         else:
-            neg.append((coeffs, rhs))
-    out = list(zero)
-    for cp, bp in pos:
+            neg.append(((coeffs, rhs), h))
+    # Rows are primitive, as _prune_rows writes them, so each kept row is
+    # one of these and ``hist_of`` gives its smallest set.
+    hist_of = dict(zero)
+    out = [row for row, _ in zero]
+    for (cp, bp), hp in pos:
         a = cp[width - 1]
         head = cp[:width - 1]
-        for cn, bn in neg:
+        for (cn, bn), hn in neg:
+            h = hp | hn
+            if h.bit_count() > limit:
+                continue
             d = -cn[width - 1]
-            out.append((tuple([d * x + a * y for x, y in zip(head, cn)]),
-                        d * bp + a * bn))
-    return _prune_rows(out)
+            coeffs = [d * x + a * y for x, y in zip(head, cn)]
+            rhs = d * bp + a * bn
+            g = math.gcd(*coeffs, rhs)
+            if g > 1:
+                coeffs = [c // g for c in coeffs]
+                rhs //= g
+            row = (tuple(coeffs), rhs)
+            out.append(row)
+            old = hist_of.get(row)
+            if old is None or h.bit_count() < old.bit_count():
+                hist_of[row] = h
+    kept = _prune_rows(out)
+    # By increasing size, so a set is kept iff no kept set is a subset.
+    minimal: set[int] = set()
+    for h in sorted({hist_of[row] for row in kept}, key=int.bit_count):
+        if not any(m & h == m for m in minimal):
+            minimal.add(h)
+    kept = [row for row in kept if hist_of[row] in minimal]
+    return kept, [hist_of[row] for row in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +357,17 @@ class HPolytope:
     @cached_property
     def _cascade(self) -> tuple[tuple[IntRow, ...], ...]:
         """Projection systems indexed by width: entry ``k-1`` constrains the
-        first ``k`` coordinates.  Entry ``d-1`` is :attr:`_top_rows`."""
+        first ``k`` coordinates.  Entry ``d-1`` is :attr:`_top_rows`.
+
+        The rows of :attr:`_top_rows` are the original rows of the
+        Chernikov and Kohler rules of :func:`_eliminate_last`, row ``i``
+        the bit ``1 << i``, so the levels depend only on their order."""
         systems = [self._top_rows]
+        hists = [1 << i for i in range(len(self._top_rows))]
         for width in range(self.dim, 1, -1):
-            systems.append(tuple(_eliminate_last(list(systems[-1]), width)))
+            rows, hists = _eliminate_last(list(systems[-1]), hists, width,
+                                          self.dim - width + 2)
+            systems.append(tuple(rows))
         systems.reverse()
         for k, system in enumerate(systems):
             has_pos = any(c[k] > 0 for c, _ in system)

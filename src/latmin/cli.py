@@ -102,13 +102,17 @@ def gauge_to_json(g: GaugeValue) -> Any:
 
 
 def gauge_from_json(value: Any, path: str) -> GaugeValue:
-    if isinstance(value, dict):
+    is_sqrt = isinstance(value, dict)
+    if is_sqrt:
         if set(value) != {"sqrt"}:
             raise ParseError(f"{path}: gauge object must have the single "
                              "key \"sqrt\"")
-        return GaugeValue.sqrt_of(parse_rational(value["sqrt"],
-                                                 f"{path}.sqrt"))
-    return GaugeValue.rational(parse_rational(value, path))
+        path += ".sqrt"
+        value = value["sqrt"]
+    v = parse_rational(value, path)
+    if v < 0:
+        raise ParseError(f"{path}: must be nonnegative, got {value!r}")
+    return GaugeValue.sqrt_of(v) if is_sqrt else GaugeValue.rational(v)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +318,22 @@ def _diag(message: str) -> None:
 # commands
 
 
+def _parse_mu(text: str) -> GaugeValue:
+    """``--mu`` as a rational string or in the gauge wire format
+    ``{"sqrt": "P/Q"}`` that ``succmin`` prints."""
+    value: Any = text
+    if text.lstrip().startswith("{"):
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"--mu: invalid JSON: {exc}") from None
+    return gauge_from_json(value, "--mu")
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     body, lattice = load_instance(args.input)
-    mu = parse_rational(args.mu, "--mu")
-    if mu < 0:
-        raise ParseError(f"--mu: must be nonnegative, got {args.mu!r}")
-    n = count_points(body, lattice, GaugeValue.rational(mu),
-                     strict=args.strict)
+    mu = _parse_mu(args.mu)
+    n = count_points(body, lattice, mu, strict=args.strict)
     _emit({"count": str(n)}, sys.stdout)
     return EXIT_OK
 
@@ -425,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "JSON: {\"count\":\"<integer>\"}.")
     add_input(p_count)
     p_count.add_argument("--mu", default="1", metavar="P/Q",
-                         help="dilation factor as a rational string "
-                              "(default: 1)")
+                         help="dilation factor as a rational string, or "
+                              "as {\"sqrt\":\"P/Q\"} for the square root "
+                              "of one (default: 1)")
     p_count.add_argument("--strict", action="store_true",
                          help="count interior points only")
     p_count.set_defaults(func=cmd_count)

@@ -68,6 +68,10 @@ class TestRationalWireFormat:
         assert gauge_to_json(GaugeValue.sqrt_of(2)) == {"sqrt": "2"}
         with pytest.raises(ParseError, match="sqrt"):
             gauge_from_json({"root": "2"}, "$")
+        with pytest.raises(ParseError, match=r"\$\.sqrt: must be nonneg"):
+            gauge_from_json({"sqrt": "-1/2"}, "$")
+        with pytest.raises(ParseError, match="must be nonnegative"):
+            gauge_from_json("-3", "$")
 
 
 class TestInstanceParsing:
@@ -163,6 +167,37 @@ class TestCountCommand:
                              ["count", "--mu=-1"], json.dumps(BOX13_DOC))
         assert rc == 2 and err.startswith("input error: --mu")
         assert len(err.splitlines()) == 1
+
+    def test_sqrt_dilation(self, monkeypatch, capsys):
+        doc = json.dumps(BOX13_DOC)
+        for mu, count in (('{"sqrt": "2"}', "27"), ('{"sqrt":"4"}', "65"),
+                          ('{"sqrt": "0"}', "1")):
+            rc, out, _ = run_cli(monkeypatch, capsys, ["count", "--mu", mu],
+                                 doc)
+            assert (rc, out) == (0, f'{{"count":"{count}"}}\n')
+
+    def test_succmin_minimum_passes_back_as_mu(self, monkeypatch, capsys):
+        doc = json.dumps({"dim": 2, "body": {
+            "kind": "ellipsoid", "gram": [["2", "1"], ["1", "3"]]}})
+        rc, out, _ = run_cli(monkeypatch, capsys, ["succmin"], doc)
+        last = json.loads(out)["minima"][-1]
+        assert (rc, last) == (0, {"sqrt": "3"})
+        # 2x^2 + 2xy + 3y^2 <= 3 at 0, +-(1, 0), +-(0, 1) and +-(1, -1).
+        rc, out, _ = run_cli(monkeypatch, capsys,
+                             ["count", "--mu", json.dumps(last)], doc)
+        assert (rc, out) == (0, '{"count":"7"}\n')
+        rc, out, _ = run_cli(monkeypatch, capsys,
+                             ["count", "--mu", json.dumps(last), "--strict"],
+                             doc)
+        assert (rc, out) == (0, '{"count":"3"}\n')
+
+    def test_sqrt_dilation_errors_exit_2(self, monkeypatch, capsys):
+        for mu in ('{"sqrt": "2"', '{"sqrt": "-2"}', '{"root": "2"}',
+                   '{"sqrt": 1.5}'):
+            rc, _, err = run_cli(monkeypatch, capsys, ["count", "--mu", mu],
+                                 json.dumps(BOX13_DOC))
+            assert rc == 2 and err.startswith("input error: --mu")
+            assert len(err.splitlines()) == 1
 
     def test_internal_errors_exit_4(self, monkeypatch, capsys):
         def broken(body, lattice):

@@ -2,6 +2,7 @@
 through any rational basis, integer Fourier-Motzkin pruning, the integer
 Schur chain and the leaf run keys."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,9 +12,11 @@ from hypothesis import given
 
 from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
                     InvalidBodyError, Matrix)
-from latmin.bodies import _derived, _int_det, _integer_basis, _prune_rows
-from latmin.enumeration import (_poly_key_rows, _poly_run_key, _quad_run_key,
-                                integer_gauge_key)
+from latmin.bodies import (_derived, _eliminate_last, _int_det, _integer_basis,
+                           _prune_rows)
+from latmin.enumeration import (_poly_interval, _poly_key_rows, _poly_run_key,
+                                _quad_run_key, integer_gauge_key)
+from latmin.harness import InstanceSpec, generate
 from latmin.minima import _flag_unimodular
 
 from strategies import (ellipsoids, hpolytopes, int_matrices, int_points,
@@ -39,6 +42,39 @@ def _prune_rows_reference(rows):
             best[key] = ratio
     return [(tuple(c * ratio.denominator for c in key), ratio.numerator)
             for key, ratio in best.items()]
+
+
+def _eliminate_reference(rows, width):
+    """Fourier-Motzkin elimination of variable ``width - 1`` with every
+    combination kept, pruned only of parallel rows (the definition)."""
+    out = [(c[:width - 1], r) for c, r in rows if c[width - 1] == 0]
+    for cp, bp in rows:
+        for cn, bn in rows:
+            a, d = cp[width - 1], -cn[width - 1]
+            if a > 0 and d > 0:
+                out.append((tuple(d * x + a * y
+                                  for x, y in zip(cp[:width - 1], cn)),
+                            d * bp + a * bn))
+    return _prune_rows_reference(out)
+
+
+def _cascade_reference(top_rows):
+    """The projection cascade with no history pruning, by width."""
+    systems = [list(top_rows)]
+    for width in range(len(top_rows[0][0]), 1, -1):
+        systems.append(_eliminate_reference(systems[-1], width))
+    systems.reverse()
+    return systems
+
+
+def _same_intervals(got, want, k, mu=2, window=2):
+    """Do ``got`` and ``want`` give coordinate ``k`` the same integer range
+    in the ``mu`` dilate at every prefix in ``[-window, window]^k``?"""
+    got = [(c, r * mu) for c, r in got]
+    want = [(c, r * mu) for c, r in want]
+    return all(_poly_interval(got, prefix, k) == _poly_interval(want, prefix, k)
+               for prefix in itertools.product(range(-window, window + 1),
+                                               repeat=k))
 
 
 def _diagonal_scales(dim):
@@ -90,6 +126,50 @@ class TestPolytopeViews:
     def test_gauge_pulls_back(self, case):
         body, u, y = case
         assert body.preimage(u).gauge(y) == body.gauge(u.apply(y))
+
+
+class TestCascadePruning:
+    """The Chernikov and Kohler rules of ``_eliminate_last`` drop only rows
+    that the others imply, so every level is the same projection."""
+
+    @given(dims.flatmap(lambda d: st.tuples(rational_polytopes(d),
+                                            bases(d))))
+    def test_levels_match_unpruned_cascade(self, case):
+        body, u = case
+        view = body.preimage(u)
+        want = _cascade_reference(view._top_rows)
+        for k, (got, ref) in enumerate(zip(view._cascade, want)):
+            assert _same_intervals(got, ref, k), f"level {k} differs"
+
+    @given(st.integers(2, 5).flatmap(
+        lambda d: st.tuples(rational_polytopes(d), bases(d))))
+    def test_each_elimination_matches_unpruned_step(self, case):
+        # The unpruned cascade grows past thousands of rows at dim 5, so
+        # each level is checked against the unpruned elimination of the
+        # (pruned) level above it.
+        body, u = case
+        levels = body.preimage(u)._cascade
+        for k in range(body.dim - 1):
+            ref = _eliminate_reference(levels[k + 1], k + 2)
+            assert _same_intervals(levels[k], ref, k), f"level {k} differs"
+
+    def test_tied_parallel_rows_keep_the_smaller_set(self):
+        # x0 <= 1 is original row 16 and also the sum of rows 1 and 2.
+        rows = [((1, 1), 1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), 1),
+                ((1, 0), 1)]
+        assert _eliminate_last(rows, [1, 2, 4, 8, 16], 2, 2) == \
+            ([((1,), 1), ((-1,), 1)], [16, 12])
+
+    def test_dim5_polytope_levels_stay_small(self):
+        # The third spec of plan_instances(7, 8, [5, 6], "hpolytope", 5);
+        # with parallel-row pruning alone its levels hold 10/20/50/300/2
+        # rows, top level first.
+        body, lattice = generate(InstanceSpec(
+            seed=16616101746815609346, dim=5, body_kind="hpolytope",
+            coeff_range=5, lattice_kind="identity"))
+        assert lattice.basis == Matrix.identity(5)
+        sizes = [len(level) for level in body._cascade]
+        assert sizes[-1] == 10 and max(sizes) <= 40
 
 
 class TestEllipsoidViews:
