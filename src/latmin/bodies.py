@@ -51,16 +51,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .gauges import GaugeValue
 from .lattices import Lattice
-from .matrices import DimensionMismatch, Matrix, Scalar, _frac
+from .matrices import (DimensionMismatch, Matrix, Scalar, _frac, _int_det,
+                       _lcd_form)
 
 # One-sided integer inequality `coeffs . x <= rhs`.
 IntRow = tuple[tuple[int, ...], int]
 # Integer quadratic form `x M x <= s` as the pair `(M, s)`.
 IntForm = tuple[tuple[tuple[int, ...], ...], int]
+# A `preimage` transform: a rational matrix or the rows of an integer one.
+Transform = Union[Matrix, Sequence[Sequence[int]]]
 
 
 class InvalidBodyError(ValueError):
@@ -83,39 +86,10 @@ def _integerize(coeffs: Sequence[Fraction], rhs: Fraction) -> IntRow:
     return tuple(ints), b
 
 
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    work = [list(row) for row in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if work[r][k]), None)
-            if swap is None:
-                return 0
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            wi, wik = work[i], work[i][k]
-            for j in range(k + 1, n):
-                wi[j] = (wi[j] * pivot - wik * work[k][j]) // prev
-        prev = pivot
-    return sign * work[n - 1][n - 1]
-
-
 def _row_times(row: Sequence[int], u: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Integer row vector times integer matrix."""
     return tuple(sum(r * uk[j] for r, uk in zip(row, u) if r)
                  for j in range(len(u[0])))
-
-
-def _lcd_form(entries: Sequence[Sequence[Fraction]]) -> IntForm:
-    """``(M, s)`` with ``M = s * entries`` for the least common denominator
-    ``s`` of the entries."""
-    s = math.lcm(*(e.denominator for row in entries for e in row))
-    return (tuple(tuple(e.numerator * (s // e.denominator) for e in row)
-                  for row in entries), s)
 
 
 def _schur_chain(form: IntForm) -> tuple[IntForm, ...]:
@@ -165,6 +139,39 @@ def _prune_rows(rows: list[IntRow]) -> list[IntRow]:
     return out
 
 
+def _combinations(rows: Sequence[IntRow], hists: Sequence[int], width: int,
+                  limit: int) -> Iterator[tuple[IntRow, int]]:
+    """The rows of the Fourier-Motzkin elimination of variable
+    ``width - 1``, each with its set of original rows.
+
+    ``hists[i]`` is the set of original rows that ``rows[i]`` was built
+    from, as a bitmask.  The rows free of the variable come first, then
+    each combination of a row with a positive and a row with a negative
+    coefficient, except those of more than ``limit`` original rows:
+    Chernikov's rule (1965), ``limit`` being one more than the number of
+    variables eliminated so far, proves them implied by the others."""
+    pos: list[tuple[IntRow, int]] = []
+    neg: list[tuple[IntRow, int]] = []
+    for (coeffs, rhs), h in zip(rows, hists):
+        last = coeffs[width - 1]
+        if last == 0:
+            yield (coeffs[:width - 1], rhs), h
+        elif last > 0:
+            pos.append(((coeffs, rhs), h))
+        else:
+            neg.append(((coeffs, rhs), h))
+    for (cp, bp), hp in pos:
+        a = cp[width - 1]
+        head = cp[:width - 1]
+        for (cn, bn), hn in neg:
+            h = hp | hn
+            if h.bit_count() > limit:
+                continue
+            d = -cn[width - 1]
+            yield (tuple([d * x + a * y for x, y in zip(head, cn)]),
+                   d * bp + a * bn), h
+
+
 def _eliminate_last(rows: list[IntRow], hists: list[int], width: int,
                     limit: int) -> tuple[list[IntRow], list[int]]:
     """Fourier-Motzkin elimination of variable ``width - 1``.
@@ -176,7 +183,7 @@ def _eliminate_last(rows: list[IntRow], hists: list[int], width: int,
 
     * Chernikov (1965): a combination of more than ``limit`` original
       rows, ``limit`` being one more than the number of variables
-      eliminated so far, is never built;
+      eliminated so far, is never built (:func:`_combinations`);
     * Kohler (1967): a row whose set strictly contains the set of another
       kept row is dropped.
 
@@ -184,40 +191,21 @@ def _eliminate_last(rows: list[IntRow], hists: list[int], width: int,
     two rules' theorems every dropped row is implied by the kept ones, so
     the result is the same projection; a row dropped in error could only
     enlarge it, never shrink it."""
-    zero: list[tuple[IntRow, int]] = []
-    pos: list[tuple[IntRow, int]] = []
-    neg: list[tuple[IntRow, int]] = []
-    for (coeffs, rhs), h in zip(rows, hists):
-        last = coeffs[width - 1]
-        if last == 0:
-            zero.append(((coeffs[:width - 1], rhs), h))
-        elif last > 0:
-            pos.append(((coeffs, rhs), h))
-        else:
-            neg.append(((coeffs, rhs), h))
-    # Rows are primitive, as _prune_rows writes them, so each kept row is
-    # one of these and ``hist_of`` gives its smallest set.
-    hist_of = dict(zero)
-    out = [row for row, _ in zero]
-    for (cp, bp), hp in pos:
-        a = cp[width - 1]
-        head = cp[:width - 1]
-        for (cn, bn), hn in neg:
-            h = hp | hn
-            if h.bit_count() > limit:
-                continue
-            d = -cn[width - 1]
-            coeffs = [d * x + a * y for x, y in zip(head, cn)]
-            rhs = d * bp + a * bn
-            g = math.gcd(*coeffs, rhs)
-            if g > 1:
-                coeffs = [c // g for c in coeffs]
-                rhs //= g
-            row = (tuple(coeffs), rhs)
-            out.append(row)
-            old = hist_of.get(row)
-            if old is None or h.bit_count() < old.bit_count():
-                hist_of[row] = h
+    # Rows are divided by their gcd, the primitive form _prune_rows writes,
+    # so each kept row is one of these and ``hist_of`` gives its smallest
+    # set.
+    hist_of: dict[IntRow, int] = {}
+    out = []
+    for (coeffs, rhs), h in _combinations(rows, hists, width, limit):
+        g = math.gcd(*coeffs, rhs)
+        if g > 1:
+            coeffs = tuple([c // g for c in coeffs])
+            rhs //= g
+        row = (coeffs, rhs)
+        out.append(row)
+        old = hist_of.get(row)
+        if old is None or h.bit_count() < old.bit_count():
+            hist_of[row] = h
     kept = _prune_rows(out)
     # By increasing size, so a set is kept iff no kept set is a subset.
     minimal: set[int] = set()
@@ -265,21 +253,24 @@ class Box:
         mu = _rational_scale(mu, "box")
         return Box(tuple(w * mu for w in self.halfwidths))
 
-    def preimage(self, a: Matrix) -> "SymmetricBody":
-        """The body ``{y : a @ y in self}`` (gauge pulled back through ``a``):
-        a box for a monomial ``a`` (one nonzero entry per row and column),
-        else the pull-back of :meth:`polytope`.
+    def preimage(self, a: Transform) -> "SymmetricBody":
+        """The body ``{y : a @ y in self}`` (gauge pulled back through ``a``,
+        a rational :class:`Matrix` or integer rows): a box for a monomial
+        ``a`` (one nonzero entry per row and column), else the pull-back of
+        :meth:`polytope`.
 
         Row ``i`` of a monomial ``a`` reads ``a_ij y_j`` for one ``j``, so
         ``|a_ij y_j| <= w_i`` bounds axis ``j`` by ``w_i / |a_ij|``."""
-        support = [[j for j, e in enumerate(row) if e] for row in a.entries]
+        rows = a.entries if isinstance(a, Matrix) else a
+        support = [[j for j, e in enumerate(row) if e] for row in rows]
         axes = [s[0] for s in support if len(s) == 1]
-        if not (a.is_square and a.nrows == self.dim
+        if not (len(rows) == self.dim
+                and all(len(row) == self.dim for row in rows)
                 and sorted(axes) == list(range(self.dim))):
             return self.polytope().preimage(a)
         widths = [Fraction(0)] * self.dim
         for i, (j, w) in enumerate(zip(axes, self.halfwidths)):
-            widths[j] = w / abs(a[i, j])
+            widths[j] = w / abs(rows[i][j])
         return Box(tuple(widths))
 
     def polytope(self) -> "HPolytope":
@@ -316,22 +307,31 @@ class HPolytope:
         return "hpolytope"
 
     def gauge(self, x: Sequence[Scalar]) -> GaugeValue:
+        """``max |<a_i, x>|`` over the normals ``a_i``, from the normals'
+        integer numerators ``Z`` over their least common denominator ``D``
+        and ``x = X / E``: ``max |Z X| / (D E)``, one ``Fraction`` at the
+        end."""
         if len(x) != self.dim:
             raise DimensionMismatch("point has wrong dimension")
-        return GaugeValue.rational(
-            max(abs(v) for v in self.normals.apply(x)))
+        z, d = _lcd_form(self.normals.entries)
+        (xs,), e = _lcd_form([x])
+        return GaugeValue.rational(Fraction(
+            max(abs(sum(c * v for c, v in zip(row, xs) if v)) for row in z),
+            d * e))
 
     def scale(self, mu: "Scalar | GaugeValue") -> "HPolytope":
         mu = _rational_scale(mu, "hpolytope")
         return HPolytope(self.normals.scaled(Fraction(1) / mu))
 
-    def preimage(self, a: Matrix) -> "HPolytope":
-        """The body ``{y : a @ y in self}``, i.e. normals ``self.normals @ a``.
+    def preimage(self, a: Transform) -> "HPolytope":
+        """The body ``{y : a @ y in self}``, i.e. normals ``self.normals @ a``,
+        for a rational :class:`Matrix` or integer rows ``a``.
 
-        With ``a = Z / D`` each row ``c.x <= r`` of :attr:`_top_rows`
-        becomes ``(c Z).y <= r D``, which :func:`_prune_rows` brings to the
-        canonical primitive rows the constructor would compute, in the same
-        order.  The rank carries over because ``Z`` is nonsingular."""
+        With ``a = Z / D`` (``D = 1`` for integer rows) each row ``c.x <= r``
+        of :attr:`_top_rows` becomes ``(c Z).y <= r D``, which
+        :func:`_prune_rows` brings to the canonical primitive rows the
+        constructor would compute, in the same order.  The rank carries over
+        because ``Z`` is nonsingular."""
         z, d = _integer_basis(a, self.dim)
         normals = []
         for row in self.normals.entries:
@@ -365,8 +365,16 @@ class HPolytope:
         systems = [self._top_rows]
         hists = [1 << i for i in range(len(self._top_rows))]
         for width in range(self.dim, 1, -1):
-            rows, hists = _eliminate_last(list(systems[-1]), hists, width,
-                                          self.dim - width + 2)
+            limit = self.dim - width + 2
+            if width > 2:
+                rows, hists = _eliminate_last(list(systems[-1]), hists,
+                                              width, limit)
+            else:
+                # Level 0 needs no sets: nothing reads them, and
+                # _prune_rows leaves one row per sign, neither implied by
+                # the other, so Kohler's rule cannot drop either.
+                rows = _prune_rows([row for row, _ in _combinations(
+                    systems[-1], hists, width, limit)])
             systems.append(tuple(rows))
         systems.reverse()
         for k, system in enumerate(systems):
@@ -401,12 +409,15 @@ class Ellipsoid:
         return "ellipsoid"
 
     def gauge_squared(self, x: Sequence[Scalar]) -> Fraction:
+        """``x^T Q x`` as ``X^T M X / (s E^2)`` from the integer form
+        ``(M, s)`` of :attr:`_integer_gram` and ``x = X / E``, one
+        ``Fraction`` at the end."""
         if len(x) != self.dim:
             raise DimensionMismatch("point has wrong dimension")
-        xs = [_frac(v) for v in x]
-        return sum(xs[i] * sum(self.gram[i, j] * xs[j]
-                               for j in range(self.dim))
-                   for i in range(self.dim))
+        m, s = self._integer_gram
+        (xs,), e = _lcd_form([x])
+        return Fraction(sum(v * sum(c * w for c, w in zip(row, xs) if w)
+                            for v, row in zip(xs, m) if v), s * e * e)
 
     def gauge(self, x: Sequence[Scalar]) -> GaugeValue:
         return GaugeValue.sqrt_of(self.gauge_squared(x))
@@ -422,14 +433,15 @@ class Ellipsoid:
             raise ValueError("scale factor must be positive")
         return Ellipsoid(self.gram.scaled(Fraction(1) / (mu * mu)))
 
-    def preimage(self, a: Matrix) -> "Ellipsoid":
-        """The body ``{y : a @ y in self}``, with Gram matrix ``a^T Q a``.
+    def preimage(self, a: Transform) -> "Ellipsoid":
+        """The body ``{y : a @ y in self}``, with Gram matrix ``a^T Q a``,
+        for a rational :class:`Matrix` or integer rows ``a``.
 
-        With ``a = Z / D`` the integer form ``(M, s)`` of ``Q`` becomes
-        ``(Z^T M Z, s D^2)`` divided by the gcd of its entries and scale,
-        which is the least-common-denominator form of ``a^T Q a``.  Positive
-        definiteness is re-checked by the positive pivots of the view's
-        integer Schur chain."""
+        With ``a = Z / D`` (``D = 1`` for integer rows) the integer form
+        ``(M, s)`` of ``Q`` becomes ``(Z^T M Z, s D^2)`` divided by the gcd
+        of its entries and scale, which is the least-common-denominator form
+        of ``a^T Q a``.  Positive definiteness is re-checked by the positive
+        pivots of the view's integer Schur chain."""
         z, d = _integer_basis(a, self.dim)
         m, s = self._integer_gram
         m_z = [_row_times(row, z) for row in m]
@@ -483,13 +495,19 @@ def _rational_scale(mu: "Scalar | GaugeValue", kind: str) -> Fraction:
     return mu
 
 
-def _integer_basis(a: Matrix, dim: int) -> IntForm:
+def _integer_basis(a: Transform, dim: int) -> IntForm:
     """Validate a ``preimage`` transform, square of size ``dim`` and
     nonsingular, and write it as ``Z / D``: returns ``(Z, D)`` with ``Z``
-    an integer matrix and ``D`` the least common denominator."""
-    if not a.is_square or a.nrows != dim:
-        raise DimensionMismatch("transform has wrong shape")
-    z, d = _lcd_form(a.entries)
+    an integer matrix and ``D`` the least common denominator of a rational
+    :class:`Matrix`; integer rows are ``Z`` itself over ``D = 1``."""
+    if isinstance(a, Matrix):
+        if not a.is_square or a.nrows != dim:
+            raise DimensionMismatch("transform has wrong shape")
+        z, d = _lcd_form(a.entries)
+    else:
+        if len(a) != dim or any(len(row) != dim for row in a):
+            raise DimensionMismatch("transform has wrong shape")
+        z, d = a, 1
     if _int_det(z) == 0:
         raise InvalidBodyError("transform must be nonsingular")
     return z, d

@@ -46,7 +46,7 @@ from .bodies import (Box, Ellipsoid, HPolytope, InvalidBodyError,
                      SymmetricBody)
 from .gauges import GaugeValue
 from .lattices import Lattice
-from .matrices import DimensionMismatch, Matrix
+from .matrices import DimensionMismatch
 
 IntPoint = tuple[int, ...]
 # The integer range ``(lo, hi)`` of one coordinate, ``None`` when empty.
@@ -443,9 +443,8 @@ def axis_extent_bounds(body: SymmetricBody,
         if axis:
             order = list(range(dim))
             order[0], order[axis] = axis, 0
-            view = zbody.preimage(Matrix.from_rows(
-                [[int(j == order[i]) for j in range(dim)]
-                 for i in range(dim)]))
+            view = zbody.preimage([[int(j == order[i]) for j in range(dim)]
+                                   for i in range(dim)])
         extents.append(min(Fraction(rhs, abs(coeffs[0]))
                            for coeffs, rhs in view._cascade[0]))
     return tuple(extents)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bodies import (Box, Ellipsoid, HPolytope, SymmetricBody, _int_det,
+from .bodies import (Box, Ellipsoid, HPolytope, SymmetricBody,
                      volume_estimate)
 from .bounds import (chain_sublattice, conjecture_rhs, divisor_chain,
                      first_bound_rhs, floor_terms, kernel_check, lemma_bound,
@@ -39,7 +39,7 @@ from .enumeration import (_standard_body, axis_extent_bounds, count_oracle,
                           count_points, enclosing_radius)
 from .gauges import GaugeValue
 from .lattices import Lattice
-from .matrices import Matrix
+from .matrices import Matrix, _int_det
 from .minima import (CanonicalInstance, align, canonicalize,
                      successive_minima)
 

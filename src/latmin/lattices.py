@@ -12,13 +12,13 @@ are exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import (DimensionMismatch, Matrix, Scalar, SingularMatrixError,
-                       hnf_left)
+from .matrices import DimensionMismatch, Matrix, SingularMatrixError, hnf_left
 
 IntVector = tuple[int, ...]
 
@@ -39,7 +39,10 @@ class Lattice:
         object.__setattr__(self, "determinant", abs(det))
 
     @staticmethod
+    @functools.cache
     def standard(dim: int) -> "Lattice":
+        """``Z^dim``, one shared instance per dimension (lattices are
+        immutable)."""
         return Lattice(Matrix.identity(dim))
 
     @property
@@ -48,20 +51,12 @@ class Lattice:
 
     @property
     def is_standard(self) -> bool:
-        return self.basis == Matrix.identity(self.dim)
-
-    def recompute_determinant(self) -> Fraction:
-        """Recompute ``|det B|`` from scratch (sanity hook for tests)."""
-        return abs(self.basis.det())
+        return all(e == int(i == j) for i, row in enumerate(self.basis.entries)
+                   for j, e in enumerate(row))
 
     def point(self, coords: Sequence[int]) -> tuple[Fraction, ...]:
         """Ambient coordinates of the lattice point with given basis coords."""
         return self.basis.apply(coords)
-
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        """Exact membership test: is ``v`` an integer combination of basis?"""
-        coords = self.basis.solve(v)
-        return all(c.denominator == 1 for c in coords)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Exact rational matrices and integer normal forms.
 
 Every entry is a :class:`fractions.Fraction`; no routine in this module ever
-touches floating point.  The sizes involved are tiny (dimension <= 6 in
-practice), so the algorithms favour clarity over asymptotics: Gaussian
-elimination for determinants/solves, Euclidean row reduction for the
-triangular integer normal form.
+touches floating point.  The arithmetic runs on integers: a rational matrix
+is written as ``Z / D`` (``Z`` the integer numerator matrix, ``D`` the least
+common denominator of the entries), products and matrix-vector products
+multiply the numerators and divide once per entry, and determinants, ranks
+and inverses come from fraction-free (Bareiss 1968) elimination of ``Z``,
+whose every division is exact.  The sizes involved are tiny (dimension
+<= 6 in practice), so the algorithms favour clarity over asymptotics.
 
 Two less common helpers live here because the rest of the package needs them:
 
@@ -19,6 +22,7 @@ Two less common helpers live here because the rest of the package needs them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -41,6 +45,43 @@ def _frac(x: Scalar) -> Fraction:
 
 def as_vector(entries: Iterable[Scalar]) -> Vector:
     return tuple(_frac(e) for e in entries)
+
+
+def _lcd_form(entries: Sequence[Sequence[Scalar]],
+              ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(Z, D)`` with ``Z = D * entries`` for the least common denominator
+    ``D`` of the entries (integers or fractions)."""
+    d = math.lcm(*(e.denominator for row in entries for e in row))
+    return (tuple(tuple(e.numerator * (d // e.denominator) for e in row)
+                  for row in entries), d)
+
+
+def _over(z: Iterable[Iterable[int]], d: int) -> tuple[Vector, ...]:
+    """The rows of the rational matrix ``z / d``."""
+    if d == 1:
+        return tuple(tuple(map(Fraction, row)) for row in z)
+    return tuple(tuple(Fraction(e, d) for e in row) for row in z)
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix (Bareiss elimination)."""
+    n = len(rows)
+    work = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if work[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if work[r][k]), None)
+            if swap is None:
+                return 0
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        pivot = work[k][k]
+        for i in range(k + 1, n):
+            wi, wik = work[i], work[i][k]
+            for j in range(k + 1, n):
+                wi[j] = (wi[j] * pivot - wik * work[k][j]) // prev
+        prev = pivot
+    return sign * work[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -122,18 +163,21 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        cols = [other.column(j) for j in range(other.ncols)]
-        return Matrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries))
+        za, da = _lcd_form(self.entries)
+        zb, db = _lcd_form(other.entries)
+        cols = tuple(zip(*zb))
+        return Matrix(_over(
+            [[sum(a * b for a, b in zip(row, col)) for col in cols]
+             for row in za], da * db))
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix-vector product ``self @ v``."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length does not match columns")
-        vv = [_frac(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vv))
-                     for row in self.entries)
+        z, d = _lcd_form(self.entries)
+        (x,), e = _lcd_form([v])
+        return _over([[sum(a * b for a, b in zip(row, x)) for row in z]],
+                     d * e)[0]
 
     def scaled(self, factor: Scalar) -> "Matrix":
         f = _frac(factor)
@@ -142,46 +186,34 @@ class Matrix:
     # -- elimination-based queries ------------------------------------------
 
     def det(self) -> Fraction:
-        """Exact determinant via fraction-free-style Gaussian elimination."""
+        """Exact determinant: ``det Z / D^n`` for ``self = Z / D``, with
+        ``det Z`` by Bareiss elimination."""
         if not self.is_square:
             raise DimensionMismatch("determinant needs a square matrix")
-        n = self.nrows
-        work = [list(row) for row in self.entries]
-        sign = 1
-        acc = Fraction(1)
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col] != 0),
-                             None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                sign = -sign
-            pivot = work[col][col]
-            acc *= pivot
-            for r in range(col + 1, n):
-                factor = work[r][col] / pivot
-                if factor:
-                    work[r] = [a - factor * b
-                               for a, b in zip(work[r], work[col])]
-        return acc * sign
+        z, d = _lcd_form(self.entries)
+        return Fraction(_int_det(z), d ** self.nrows)
 
     def rank(self) -> int:
-        work = [list(row) for row in self.entries]
-        nrows, ncols = self.nrows, self.ncols
-        rank = 0
-        for col in range(ncols):
+        """Rank of the numerators ``Z`` by fraction-free elimination.
+
+        Every entry stays a minor of ``Z`` (Sylvester's identity), also
+        across columns without a pivot, so each division is exact."""
+        work = [list(row) for row in _lcd_form(self.entries)[0]]
+        nrows = self.nrows
+        rank, prev = 0, 1
+        for col in range(self.ncols):
             pivot_row = next((r for r in range(rank, nrows)
                               if work[r][col] != 0), None)
             if pivot_row is None:
                 continue
             work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pivot = work[rank][col]
+            top = work[rank]
+            pivot = top[col]
             for r in range(rank + 1, nrows):
-                factor = work[r][col] / pivot
-                if factor:
-                    work[r] = [a - factor * b
-                               for a, b in zip(work[r], work[rank])]
+                f = work[r][col]
+                work[r] = [(a * pivot - f * b) // prev
+                           for a, b in zip(work[r], top)]
+            prev = pivot
             rank += 1
             if rank == nrows:
                 break
@@ -212,25 +244,32 @@ class Matrix:
         return tuple(work[r][n] for r in range(n))
 
     def inverse(self) -> "Matrix":
+        """``D Z^-1`` for ``self = Z / D``, by fraction-free Gauss-Jordan
+        elimination of ``[Z | I]``: it ends at ``[p I | p Z^-1]`` with
+        ``p = +-det Z``, every division exact."""
         if not self.is_square:
             raise DimensionMismatch("inverse needs a square matrix")
+        z, d = _lcd_form(self.entries)
         n = self.nrows
-        work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-                for i, row in enumerate(self.entries)]
+        work = [list(row) + [int(i == j) for j in range(n)]
+                for i, row in enumerate(z)]
+        prev = 1
         for col in range(n):
             pivot_row = next((r for r in range(col, n) if work[r][col] != 0),
                              None)
             if pivot_row is None:
                 raise SingularMatrixError("matrix is singular")
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            work[col] = [e / pivot for e in work[col]]
+            top = work[col]
+            pivot = top[col]
             for r in range(n):
-                if r != col and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b
-                               for a, b in zip(work[r], work[col])]
-        return Matrix(tuple(tuple(work[i][n:]) for i in range(n)))
+                if r != col:
+                    f = work[r][col]
+                    work[r] = [(a * pivot - f * b) // prev
+                               for a, b in zip(work[r], top)]
+            prev = pivot
+        return Matrix(tuple(tuple(Fraction(e * d, prev) for e in row[n:])
+                            for row in work))
 
 
 def hnf_left(z: Matrix) -> tuple[Matrix, Matrix]:

@@ -40,7 +40,7 @@ from .enumeration import (_standard_body, min_key_point_outside,
                           open_point_outside)
 from .gauges import GaugeValue
 from .lattices import Lattice
-from .matrices import Matrix, align_witnesses
+from .matrices import align_witnesses
 
 IntPoint = tuple[int, ...]
 
@@ -157,7 +157,7 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
             # The search receives the integer inverse of the alignment to
             # express its preference directly on the original coordinates.
             rows = _flag_unimodular(witnesses, dim)
-            view = zbody.preimage(Matrix.from_rows(rows))
+            view = zbody.preimage(rows)
         found = min_key_point_outside(view, dim - k, mu, rows)
         if found is None:
             mu *= 2
@@ -177,10 +177,34 @@ def align(zbody: SymmetricBody, witnesses: tuple[IntPoint, ...],
     the pull-back of ``zbody`` through ``u^-1`` and the points ``u w``, so
     witness ``i`` lies in the span of the first ``i`` standard basis vectors
     and every gauge (hence every count and minimum over the standard
-    lattice) is unchanged."""
-    u = align_witnesses(witnesses)
-    aligned_wits = tuple(tuple(int(c) for c in u.apply(w)) for w in witnesses)
-    return zbody.preimage(u.inverse()), aligned_wits
+    lattice) is unchanged.  ``u^-1`` is built in integers by
+    :func:`_flag_inverse`."""
+    u = [[int(e) for e in row] for row in align_witnesses(witnesses).entries]
+    aligned_wits = tuple(tuple(sum(a * b for a, b in zip(row, w)) for row in u)
+                         for w in witnesses)
+    return (zbody.preimage(_flag_inverse(witnesses, aligned_wits)),
+            aligned_wits)
+
+
+def _flag_inverse(witnesses: tuple[IntPoint, ...],
+                  aligned: tuple[IntPoint, ...]) -> tuple[IntPoint, ...]:
+    """Integer rows of ``u^-1`` for the unimodular ``u`` with
+    ``u w_i = h_i``, where ``w_i`` are ``witnesses`` and ``h_i`` the
+    ``aligned`` points, zero below entry ``i``.
+
+    The ``h_i`` are the columns of the upper triangular ``H = u W``, so
+    ``u^-1 = W H^-1``: row ``r`` of it solves ``x H = (w_1[r], ..,
+    w_d[r])`` by forward substitution, ``x_j = (w_j[r] - sum_{k<j} x_k
+    h_j[k]) / h_j[j]``.  Every division is exact because ``u^-1`` is an
+    integer matrix."""
+    rows = []
+    for r in range(len(witnesses)):
+        x: list[int] = []
+        for w, h in zip(witnesses, aligned):
+            x.append((w[r] - sum(a * b for a, b in zip(x, h)))
+                     // h[len(x)])
+        rows.append(tuple(x))
+    return tuple(rows)
 
 
 def _certify_flag(body: SymmetricBody, minima: tuple[GaugeValue, ...],
@@ -212,8 +236,8 @@ def _certify_flag(body: SymmetricBody, minima: tuple[GaugeValue, ...],
             raise AssertionError("alignment changed a witness gauge")
         if not w[i] or any(w[i + 1:]):
             raise AssertionError("witnesses are not aligned with the flag")
-    reversed_body = body.preimage(Matrix.from_rows(
-        [[int(i + j == dim - 1) for j in range(dim)] for i in range(dim)]))
+    reversed_body = body.preimage(
+        [[int(i + j == dim - 1) for j in range(dim)] for i in range(dim)])
     for i, lam in enumerate(minima):
         if open_point_outside(reversed_body, lam, dim - i):
             raise AssertionError("canonicalization changed the minima")

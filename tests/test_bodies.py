@@ -13,7 +13,8 @@ from latmin.enumeration import (_dilated_systems, _poly_interval,
                                 _quad_interval, _scaled_forms)
 
 from strategies import (bodies, boxes, ellipsoids, hpolytopes, int_points,
-                        nonsingular_int_matrices, positive_fractions)
+                        nonsingular_int_matrices, positive_fractions,
+                        rationals)
 
 F = Fraction
 STD2 = Lattice.standard(2)
@@ -119,6 +120,45 @@ class TestEllipsoid:
         assert doubled.gram == Matrix.diagonal([F(1, 2), F(1, 2)])
         with pytest.raises(ValueError):
             UNIT_DISK.scale(GaugeValue.ZERO)
+
+
+def _points(dim: int):
+    """Integer and rational points, negative entries and mixed
+    denominators included."""
+    return st.lists(st.one_of(st.integers(-5, 5), rationals(6, 5)),
+                    min_size=dim, max_size=dim)
+
+
+@st.composite
+def _rational_scales(draw, dim: int):
+    return Matrix.diagonal([draw(positive_fractions(4, 5))
+                            for _ in range(dim)])
+
+
+class TestGaugeDefinitions:
+    """The gauges run on integer numerators; they must equal the
+    ``Fraction`` definitions from ``normals`` and ``gram``."""
+
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        hpolytopes(d), _rational_scales(d), _points(d))))
+    def test_polytope_gauge_is_max_of_normal_products(self, case):
+        body, scale, x = case
+        for poly in (body, HPolytope(body.normals @ scale)):
+            want = max(abs(sum((a * F(v) for a, v in zip(row, x)), F(0)))
+                       for row in poly.normals.entries)
+            assert poly.gauge(x) == GaugeValue.rational(want)
+
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        ellipsoids(d, bound=2), _rational_scales(d), _points(d))))
+    def test_ellipsoid_gauge_is_the_quadratic_form(self, case):
+        body, scale, x = case
+        for ell in (body, Ellipsoid(scale.transpose() @ body.gram @ scale)):
+            d = ell.dim
+            want = sum((F(x[i]) * ell.gram[i, j] * F(x[j])
+                        for i in range(d) for j in range(d)), F(0))
+            assert ell.gauge_squared(x) == want
+            assert isinstance(ell.gauge_squared(x), Fraction)
+            assert ell.gauge(x) == GaugeValue.sqrt_of(want)
 
 
 class TestSharedOperations:

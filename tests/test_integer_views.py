@@ -19,8 +19,9 @@ from latmin.enumeration import (_poly_interval, _poly_key_rows, _poly_run_key,
 from latmin.harness import InstanceSpec, generate
 from latmin.minima import _flag_unimodular
 
-from strategies import (ellipsoids, hpolytopes, int_matrices, int_points,
-                        lattices, positive_fractions, shear_unimodulars)
+from strategies import (boxes, ellipsoids, hpolytopes, int_matrices,
+                        int_points, lattices, positive_fractions,
+                        shear_unimodulars)
 
 F = Fraction
 
@@ -234,10 +235,43 @@ class TestTransforms:
         with pytest.raises(DimensionMismatch):
             _integer_basis(u, 3)
 
+    @given(dims.flatmap(lambda d: st.tuples(
+        st.one_of(rational_polytopes(d), rational_ellipsoids(d),
+                  boxes(d)), st.one_of(shear_unimodulars(d),
+                                       int_matrices(d)))))
+    def test_integer_rows_pull_back_as_their_matrix(self, case):
+        body, u = case
+        rows = tuple(tuple(int(e) for e in row) for row in u.entries)
+        if u.det() == 0:
+            for a in (u, rows):
+                with pytest.raises(InvalidBodyError):
+                    body.preimage(a)
+            return
+        by_rows, by_matrix = body.preimage(rows), body.preimage(u)
+        assert by_rows == by_matrix
+        for cached in ("_top_rows", "_integer_gram"):
+            if hasattr(by_matrix, cached):
+                assert getattr(by_rows, cached) == getattr(by_matrix, cached)
+
+    def test_integer_rows_of_wrong_shape_raise(self):
+        for body in (self.SQUARE, self.DISK, self.BOX):
+            for rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0]],
+                         [[1, 0], [0, 1, 0]], [[1], [0, 1]]):
+                with pytest.raises(DimensionMismatch):
+                    body.preimage(rows)
+            with pytest.raises(InvalidBodyError):
+                body.preimage([[0, 1], [0, 2]])
+
     @given(st.integers(1, 5).flatmap(lambda d: int_matrices(d, 4)))
     def test_bareiss_determinant(self, m):
+        # Leibniz expansion: Matrix.det is itself Bareiss on the numerators.
         rows = [[int(e) for e in row] for row in m.entries]
-        assert _int_det(rows) == m.det()
+        n = len(rows)
+        leibniz = sum(
+            (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+            * math.prod(rows[i][p[i]] for i in range(n))
+            for p in itertools.permutations(range(n)))
+        assert _int_det(rows) == leibniz
 
 
 class TestPruneRows:

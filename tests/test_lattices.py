@@ -26,9 +26,6 @@ class TestLattice:
         assert Lattice(Matrix.diagonal([1, Fraction(-1, 2)])).determinant == \
             Fraction(1, 2)
 
-    def test_recompute_determinant(self):
-        assert SKEW.recompute_determinant() == SKEW.determinant
-
     def test_singular_basis_rejected(self):
         with pytest.raises(SingularMatrixError):
             Lattice(Matrix.from_rows([[1, 2], [2, 4]]))
@@ -38,16 +35,6 @@ class TestLattice:
     def test_point_uses_basis_columns(self):
         # Generators are the columns: coords (1, -1) -> column0 - column1.
         assert SKEW.point((1, -1)) == (0, -2)
-
-    def test_contains(self):
-        assert SKEW.contains((0, -2))
-        assert SKEW.contains((1, 0))
-        assert not SKEW.contains((0, 1))
-
-    @given(nonsingular_int_matrices(3), int_points(3))
-    def test_contains_every_generated_point(self, basis, coords):
-        lat = Lattice(basis)
-        assert lat.contains(lat.point(coords))
 
 
 class TestSublattice:

@@ -35,6 +35,63 @@ def rational_matrices(dim: int):
                     min_size=dim, max_size=dim).map(Matrix.from_rows)
 
 
+# Negative entries and mixed denominators.
+ENTRIES = rationals(6, 6)
+SHAPES = st.integers(1, 4)
+
+
+def shaped_matrices(nrows: int, ncols: int):
+    return st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(Matrix.from_rows)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices, about half of them made singular by replacing the
+    last row with a multiple of a combination of the others."""
+    n = draw(SHAPES)
+    m = draw(shaped_matrices(n, n))
+    if n == 1 or draw(st.booleans()):
+        return m
+    coeffs = draw(st.lists(ENTRIES, min_size=n - 1, max_size=n - 1))
+    rows = list(m.entries[:-1])
+    rows.append(tuple(sum((c * row[j] for c, row in zip(coeffs, rows)),
+                          Fraction(0)) for j in range(n)))
+    return Matrix(tuple(rows))
+
+
+def vectors(length: int):
+    return st.lists(st.one_of(st.integers(-9, 9), ENTRIES),
+                    min_size=length, max_size=length)
+
+
+def _naive_matmul(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(tuple(
+        tuple(sum((a[i, k] * b[k, j] for k in range(a.ncols)), Fraction(0))
+              for j in range(b.ncols)) for i in range(a.nrows)))
+
+
+def _naive_apply(a: Matrix, v) -> tuple:
+    return tuple(sum((e * Fraction(x) for e, x in zip(row, v)), Fraction(0))
+                 for row in a.entries)
+
+
+def _naive_rank(m: Matrix) -> int:
+    """Gaussian elimination on ``Fraction`` rows."""
+    work = [list(row) for row in m.entries]
+    rank = 0
+    for col in range(m.ncols):
+        pivot = next((r for r in range(rank, m.nrows) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, m.nrows):
+            f = work[r][col] / work[rank][col]
+            work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
 class TestConstruction:
     def test_from_rows_validates(self):
         with pytest.raises(DimensionMismatch):
@@ -120,6 +177,58 @@ class TestElimination:
     def test_inverse_singular(self):
         with pytest.raises(SingularMatrixError):
             Matrix.from_rows([[1, 1], [1, 1]]).inverse()
+
+
+class TestIntegerKernels:
+    """``@``, ``apply``, ``det``, ``rank`` and ``inverse`` run on integer
+    numerators over a common denominator; they must equal the ``Fraction``
+    definitions and raise the same exceptions."""
+
+    @given(SHAPES, SHAPES, SHAPES, st.data())
+    def test_matmul_matches_fraction_reference(self, r, k, c, data):
+        a = data.draw(shaped_matrices(r, k))
+        b = data.draw(shaped_matrices(k, c))
+        product = a @ b
+        assert product == _naive_matmul(a, b)
+        assert all(isinstance(e, Fraction) for row in product.entries
+                   for e in row)
+        with pytest.raises(DimensionMismatch):
+            a @ data.draw(shaped_matrices(k + 1, c))
+
+    @given(SHAPES, SHAPES, st.data())
+    def test_apply_matches_fraction_reference(self, r, k, data):
+        a = data.draw(shaped_matrices(r, k))
+        v = data.draw(vectors(k))
+        image = a.apply(v)
+        assert image == _naive_apply(a, v)
+        assert all(isinstance(e, Fraction) for e in image)
+        with pytest.raises(DimensionMismatch):
+            a.apply(data.draw(vectors(k + 1)))
+
+    @given(square_matrices())
+    def test_det_rank_inverse_match_fraction_reference(self, m):
+        det = m.det()
+        assert isinstance(det, Fraction)
+        assert det == _det_by_permutations(m)
+        assert m.rank() == _naive_rank(m)
+        assert (m.rank() == m.nrows) == (det != 0)
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            assert m @ m.inverse() == Matrix.identity(m.nrows)
+
+    @given(SHAPES, SHAPES, st.data())
+    def test_rank_of_rectangular_matrices(self, r, c, data):
+        m = data.draw(shaped_matrices(r, c))
+        assert m.rank() == _naive_rank(m)
+
+    def test_wrong_shapes_raise(self):
+        wide = Matrix.from_rows([[1, Fraction(1, 2), -3]])
+        for query in (wide.det, wide.inverse):
+            with pytest.raises(DimensionMismatch):
+                query()
+        assert wide.rank() == 1
 
 
 class TestNormalForm:

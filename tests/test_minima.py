@@ -10,9 +10,10 @@ import latmin.minima
 from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
                     MinimaResult, canonicalize, count_points,
                     enumerate_points, successive_minima)
-from latmin.minima import _certify_flag
+from latmin.matrices import align_witnesses
+from latmin.minima import _certify_flag, _flag_inverse, align
 
-from strategies import instances
+from strategies import bodies, instances, nonsingular_int_matrices
 
 F = Fraction
 STD2 = Lattice.standard(2)
@@ -169,6 +170,27 @@ class TestCanonicalize:
             count_points(body, lattice, 1)
         assert count_points(canon.body, std, 2, strict=True) == \
             count_points(body, lattice, 2, strict=True)
+
+
+class TestAlign:
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        bodies(d, small=True), nonsingular_int_matrices(d, 4))))
+    def test_integer_inverse_of_the_alignment(self, case):
+        body, w = case
+        witnesses = tuple(tuple(int(e) for e in col)
+                          for col in zip(*w.entries))
+        u = [[int(e) for e in row]
+             for row in align_witnesses(witnesses).entries]
+        aligned_body, aligned = align(body, witnesses)
+        inv = _flag_inverse(witnesses, aligned)
+        dim = body.dim
+        assert all(isinstance(e, int) for row in inv for e in row)
+        assert [[sum(u[i][k] * inv[k][j] for k in range(dim))
+                 for j in range(dim)] for i in range(dim)] == \
+            [[int(i == j) for j in range(dim)] for i in range(dim)]
+        assert aligned == tuple(tuple(sum(a * b for a, b in zip(row, p))
+                                      for row in u) for p in witnesses)
+        assert aligned_body == body.preimage(Matrix.from_rows(u).inverse())
 
 
 class TestFlagCertificate:
