@@ -42,6 +42,14 @@ The constructors' checks are replaced by ones of equal strength:
 nonsingularity by the integer (Bareiss) determinant of ``Z``, polytope rank
 by the parent's rank, and positive definiteness by positive pivots of the
 integer Schur chain (Sylvester's criterion), as in the constructor.
+
+A view carries only integer data: its rational ``normals`` (numerators
+``N Z`` over ``E D``) or ``gram`` is built on first read from the cached
+integer form and kept, so the minima search, which reads only the integer
+rows and forms, never builds a ``Fraction`` for its stage views.  ``==``,
+``hash`` and ``repr`` read the field and build it; the result equals the
+constructor's.  ``dim`` and the gauges read the integer form directly, and
+the gauges stay independent of the search rows.
 """
 
 from __future__ import annotations
@@ -51,12 +59,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .gauges import GaugeValue
 from .lattices import Lattice
 from .matrices import (DimensionMismatch, Matrix, Scalar, _frac, _int_det,
-                       _lcd_form)
+                       _lcd_form, _over)
 
 # One-sided integer inequality `coeffs . x <= rhs`.
 IntRow = tuple[tuple[int, ...], int]
@@ -86,10 +95,31 @@ def _integerize(coeffs: Sequence[Fraction], rhs: Fraction) -> IntRow:
     return tuple(ints), b
 
 
-def _row_times(row: Sequence[int], u: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Integer row vector times integer matrix."""
-    return tuple(sum(r * uk[j] for r, uk in zip(row, u) if r)
-                 for j in range(len(u[0])))
+def _row_times(row: Sequence[int],
+               cols: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Integer row vector times the integer matrix with columns ``cols``."""
+    return tuple([sum(map(mul, row, col)) for col in cols])
+
+
+def _reduced(z: Sequence[Sequence[int]], d: int) -> IntForm:
+    """``(Z, D)`` divided by the gcd of ``D`` and every entry of ``Z``: the
+    least-common-denominator form of the rational matrix ``Z / D``."""
+    g = math.gcd(d, *(e for row in z for e in row))
+    return tuple(tuple([e // g for e in row]) for row in z), d // g
+
+
+def _rational_field(body, name: str, field: str, source: str) -> Matrix:
+    """Attribute ``name`` of a ``preimage`` view, which stores only the
+    integer form ``(Z, D)`` of its rational ``field`` matrix, as the
+    cached property ``source``: ``field`` is ``Z / D``, built on first read
+    and kept.  Any other missing attribute raises as usual."""
+    if name != field or source not in body.__dict__:
+        raise AttributeError(
+            f"{type(body).__name__!r} object has no attribute {name!r}")
+    z, d = body.__dict__[source]
+    matrix = Matrix(_over(z, d))
+    object.__setattr__(body, field, matrix)
+    return matrix
 
 
 def _schur_chain(form: IntForm) -> tuple[IntForm, ...]:
@@ -103,11 +133,12 @@ def _schur_chain(form: IntForm) -> tuple[IntForm, ...]:
             raise InvalidBodyError("gram matrix must be positive definite")
         if k == 1:
             break
-        col = [m[i][k - 1] for i in range(k - 1)]
-        n = [[c * m[i][j] - col[i] * col[j] for j in range(k - 1)]
-             for i in range(k - 1)]
-        g = math.gcd(c * s, *(e for row in n for e in row))
-        forms.append((tuple(tuple(e // g for e in row) for row in n),
+        col = [row[k - 1] for row in m[:k - 1]]
+        # zip stops at the k - 1 entries of col: the leading minor.
+        n = [[c * e - ci * cj for e, cj in zip(row, col)]
+             for row, ci in zip(m, col)]
+        g = math.gcd(c * s, *itertools.chain.from_iterable(n))
+        forms.append((tuple(tuple([e // g for e in row]) for row in n),
                       c * s // g))
     forms.reverse()
     return tuple(forms)
@@ -298,9 +329,12 @@ class HPolytope:
             raise InvalidBodyError(
                 "normals must have full column rank (bounded body)")
 
+    def __getattr__(self, name: str) -> Matrix:
+        return _rational_field(self, name, "normals", "_integer_normals")
+
     @property
     def dim(self) -> int:
-        return self.normals.ncols
+        return len(self._integer_normals[0][0])
 
     @property
     def kind(self) -> str:
@@ -309,11 +343,11 @@ class HPolytope:
     def gauge(self, x: Sequence[Scalar]) -> GaugeValue:
         """``max |<a_i, x>|`` over the normals ``a_i``, from the normals'
         integer numerators ``Z`` over their least common denominator ``D``
-        and ``x = X / E``: ``max |Z X| / (D E)``, one ``Fraction`` at the
-        end."""
+        (:attr:`_integer_normals`) and ``x = X / E``: ``max |Z X| / (D E)``,
+        one ``Fraction`` at the end."""
         if len(x) != self.dim:
             raise DimensionMismatch("point has wrong dimension")
-        z, d = _lcd_form(self.normals.entries)
+        z, d = self._integer_normals
         (xs,), e = _lcd_form([x])
         return GaugeValue.rational(Fraction(
             max(abs(sum(c * v for c, v in zip(row, xs) if v)) for row in z),
@@ -330,19 +364,24 @@ class HPolytope:
         With ``a = Z / D`` (``D = 1`` for integer rows) each row ``c.x <= r``
         of :attr:`_top_rows` becomes ``(c Z).y <= r D``, which
         :func:`_prune_rows` brings to the canonical primitive rows the
-        constructor would compute, in the same order.  The rank carries over
-        because ``Z`` is nonsingular."""
+        constructor would compute, in the same order.  The integer normals
+        ``(N, E)`` become ``(N Z, E D)`` in lowest terms; the view's
+        ``normals`` are built from them only when read.  The rank carries
+        over because ``Z`` is nonsingular."""
         z, d = _integer_basis(a, self.dim)
-        normals = []
-        for row in self.normals.entries:
-            den = math.lcm(*(e.denominator for e in row))
-            nums = [e.numerator * (den // e.denominator) for e in row]
-            normals.append(tuple(Fraction(v, den * d)
-                                 for v in _row_times(nums, z)))
-        return _derived(HPolytope, normals=Matrix(tuple(normals)),
+        cols = tuple(zip(*z))
+        nums, den = self._integer_normals
+        return _derived(HPolytope, _integer_normals=_reduced(
+                            [_row_times(row, cols) for row in nums], den * d),
                         _top_rows=tuple(_prune_rows(
-                            [(_row_times(coeffs, z), rhs * d)
+                            [(_row_times(coeffs, cols), rhs * d)
                              for coeffs, rhs in self._top_rows])))
+
+    @cached_property
+    def _integer_normals(self) -> IntForm:
+        """``(Z, D)`` with ``Z = D * normals`` for the least common
+        denominator ``D`` of the entries."""
+        return _lcd_form(self.normals.entries)
 
     @cached_property
     def _top_rows(self) -> tuple[IntRow, ...]:
@@ -400,9 +439,12 @@ class Ellipsoid:
             raise InvalidBodyError("gram matrix must be symmetric")
         _schur_chain(_lcd_form(q.entries))  # Sylvester's criterion, uncached
 
+    def __getattr__(self, name: str) -> Matrix:
+        return _rational_field(self, name, "gram", "_integer_gram")
+
     @property
     def dim(self) -> int:
-        return self.gram.nrows
+        return len(self._integer_gram[0])
 
     @property
     def kind(self) -> str:
@@ -440,18 +482,17 @@ class Ellipsoid:
         With ``a = Z / D`` (``D = 1`` for integer rows) the integer form
         ``(M, s)`` of ``Q`` becomes ``(Z^T M Z, s D^2)`` divided by the gcd
         of its entries and scale, which is the least-common-denominator form
-        of ``a^T Q a``.  Positive definiteness is re-checked by the positive
-        pivots of the view's integer Schur chain."""
+        of ``a^T Q a``; the view's ``gram`` is built from it only when read.
+        Positive definiteness is re-checked by the positive pivots of the
+        view's integer Schur chain."""
         z, d = _integer_basis(a, self.dim)
         m, s = self._integer_gram
-        m_z = [_row_times(row, z) for row in m]
-        congruent = [_row_times(col, m_z) for col in zip(*z)]
-        s *= d * d
-        g = math.gcd(s, *(e for row in congruent for e in row))
-        m = tuple(tuple(e // g for e in row) for row in congruent)
-        s //= g
-        view = _derived(Ellipsoid, _integer_gram=(m, s), gram=Matrix(
-            tuple(tuple(Fraction(e, s) for e in row) for row in m)))
+        cols = tuple(zip(*z))
+        # M is symmetric, so its rows are its columns: Z^T M row by row,
+        # then each row times Z.
+        zt_m = [_row_times(col, m) for col in cols]
+        view = _derived(Ellipsoid, _integer_gram=_reduced(
+            [_row_times(row, cols) for row in zt_m], s * d * d))
         view._integer_forms  # raises unless every Schur pivot is positive
         return view
 

@@ -47,6 +47,8 @@ from .matrices import DimensionMismatch, Matrix, SingularMatrixError
 from .minima import successive_minima
 
 ORACLE_SAMPLE_CAP = 50
+# Campaign seeds seed a 64-bit SplitMix64 stream.
+MAX_SEED = (1 << 64) - 1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -372,6 +374,10 @@ def _parse_dims(text: str) -> list[int]:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    # A seed outside the stream's range would silently rerun the campaign
+    # of the seed it is congruent to modulo 2^64.
+    if not 0 <= args.seed <= MAX_SEED:
+        raise ParseError(f"--seed: must be in 0..{MAX_SEED}")
     dims = _parse_dims(args.dim)
     if not 1 <= args.range <= MAX_COEFF_RANGE:
         raise ParseError(f"--range: must be in 1..{MAX_COEFF_RANGE}")
@@ -479,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                     f"{ORACLE_SAMPLE_CAP} instances of dimension <= 3; a "
                     "disagreement exits 1.")
     p_fuzz.add_argument("--seed", type=int, default=0,
-                        help="campaign seed (default: 0)")
+                        help=f"campaign seed in 0..{MAX_SEED} (default: 0)")
     p_fuzz.add_argument("--count", type=int, default=100,
                         help="number of instances (default: 100)")
     p_fuzz.add_argument("--dim", default="2,3",

@@ -14,15 +14,23 @@ minima search (:func:`min_key_point_outside`) walks the same way with
 center-out ranges and a provider that reads its shrinking bound.  The ranges
 come from the body's cached projection cascade; the final coordinate is
 resolved against the full constraint system, which also decides strict
-(interior) membership exactly.  For polytopes ``c.x < r`` is ``c.x <= r - 1``
-on integers.  For ellipsoids the last range drops an end that is a root of
-its quadratic: equality holds only at the two real roots, so the open slice
-is still one contiguous range.  Boxes skip the walk: their counts and point
-lists are products of per-axis ranges.
+(interior) membership exactly: on integers ``c.x < r`` is ``c.x <= r - 1``
+for polytopes, and ``x M x < T`` is ``x M x <= ceil(T) - 1`` for
+ellipsoids.  Boxes skip the walk: their counts and point lists are products
+of per-axis ranges.
+
+Every ellipsoid walk (search, counting, enumeration and the strict walk of
+:func:`open_point_outside`) runs on the integer Schur chain at one integer
+key, walked incrementally (:func:`_chain_levels`): each level keeps the
+coefficients of its quadratic in the coordinate being fixed and derives
+them from its parent's in ``O(k)`` at depth ``k``, not ``O(k^2)``.  That
+state is sound because the walk is depth first: a level is always asked
+about a child of the prefix its parent was last asked about.
 
 All arithmetic on the hot path is plain integer arithmetic: polytope rows
-and ellipsoid Gram forms are pre-scaled to integers, and a rational dilation
-``p/q`` is folded into those integers rather than into the body.
+and ellipsoid Gram forms are integers, and a rational dilation ``p/q``
+or a search bound is folded into the integer bounds of each level rather
+than into the body or the coefficients.
 
 A dilation ``sqrt(p/q)`` is exact in integers too.  Ellipsoids fold ``p/q``
 into the squared bound of their forms.  For boxes and polytopes every
@@ -40,6 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .bodies import (Box, Ellipsoid, HPolytope, InvalidBodyError,
@@ -141,22 +150,24 @@ def _dilated_systems(body: HPolytope, mu: GaugeValue,
 
     The final level holds the body's own rows with the dilation and the
     strictness folded in, so its integer solutions are exactly the points of
-    the dilate (its interior when strict): on integers ``c.x < r`` is
-    ``c.x <= r - 1``, and for ``mu = sqrt(p/q)`` the bound ``c.x <= r*mu``
-    is ``c.x <= isqrt(r^2 p // q)``.  The inner levels of a square-root
-    dilation belong to the rational cover ``mu.rational_upper_bound()``;
-    their projections contain those of the dilate, so they only admit extra
-    prefixes whose final interval is empty."""
+    the dilate (its interior when strict): on integers ``c.x <= r p/q`` is
+    ``c.x <= floor(r p / q)``, ``c.x < r p/q`` is ``c.x <= ceil(r p / q) -
+    1``, and for ``mu = sqrt(p/q)`` the bound ``c.x <= r*mu`` is ``c.x <=
+    isqrt(r^2 p // q)``.  The inner levels of a square-root dilation belong
+    to the rational cover ``mu.rational_upper_bound()``; their projections
+    contain those of the dilate, so they only admit extra prefixes whose
+    final interval is empty."""
     cover = mu.rational_upper_bound()
     num, den = cover.numerator, cover.denominator
-    systems = [[(tuple(den * c for c in coeffs), num * rhs)
-                for coeffs, rhs in system] for system in body._cascade]
+    systems = [[(coeffs, rhs * num // den) for coeffs, rhs in system]
+               for system in body._cascade]
     if mu.is_sqrt:
         p, q = mu.value.numerator, mu.value.denominator
         systems[-1] = [(coeffs, _isqrt_bound(rhs * rhs * p, q, strict))
                        for coeffs, rhs in body._top_rows]
     elif strict:
-        systems[-1] = [(coeffs, rhs - 1) for coeffs, rhs in systems[-1]]
+        systems[-1] = [(coeffs, (rhs * num - 1) // den)
+                       for coeffs, rhs in body._top_rows]
     return systems
 
 
@@ -190,54 +201,75 @@ def _poly_interval(rows, prefix: IntPoint, k: int) -> Bounds:
 
 
 # ---------------------------------------------------------------------------
-# ellipsoid levels: integer quadratic forms per prefix length
+# ellipsoid levels: the integer Schur chain, walked incrementally
 
 
-def _scaled_forms(body: Ellipsoid,
-                  mu: GaugeValue) -> list[tuple[tuple[IntPoint, ...], int]]:
-    """Integer forms ``(M, T)`` with ``x M x <= T`` equivalent to membership
-    in the projections of ``mu * body``: each ``x M_k x <= s_k`` becomes
-    ``q x M_k x <= p s_k`` for ``mu^2 = p/q``."""
-    sq = mu.squared()
-    p, q = sq.numerator, sq.denominator
-    return [(tuple(tuple(e * q for e in row) for row in m), s * p)
-            for m, s in body._integer_forms]
+def _chain_levels(body: Ellipsoid):
+    """``(build, interval, run_key)``: the walker's levels for the points of
+    ``body`` with integer key ``x M x <= K``, ``(M, s)`` the full form.
 
+    The Schur chain :attr:`Ellipsoid._integer_forms` holds ``(M_k, s_k)``
+    on the first ``k + 1`` coordinates, and ``x M_k x <= s_k`` is the
+    projection of ``x M x <= s``.  So ``build(K)`` bounds level ``k`` by
+    ``x M_k x <= T_k = floor(K s_k / s)`` on integers, and the last level
+    is the key set itself.  ``interval(k, prefix)`` is the integer range of
+    coordinate ``k`` at ``prefix`` (``None`` when empty): with ``x = prefix
+    + (t,)`` membership is ``alpha t^2 + 2 beta t + gamma <= T_k``.  The
+    bounds of the last build are read at every call, so a search may
+    rebuild between calls.
 
-def _quad_interval(form, prefix: IntPoint, k: int,
-                   strict: bool = False) -> Bounds:
-    """Integer range of coordinate ``k`` in the slice of ``x M x <= T`` at
-    ``prefix``; ``None`` when it is empty.
+    Each level keeps the ``(beta, gamma)`` of its last call, which is that
+    of the current prefix in a depth-first walk that asks every level in
+    turn (:func:`_walk`): the parent's quadratic at the coordinate just
+    fixed is then ``Q = (alpha' t + 2 beta') t + gamma'``.  The chain step
+    ``c M_k[:k, :k] = g_k M_{k-1} + m m^T`` (``c = alpha``, ``m`` the last
+    column, ``g_k = c s_k / s_{k-1}``) gives ``gamma = (g_k Q + beta^2) /
+    alpha``, an exact integer division, so a call costs ``O(k)`` for
+    ``beta`` instead of ``O(k^2)`` for ``gamma``.  The same step turns the
+    discriminant ``beta^2 - alpha (gamma - T_k)`` into ``alpha T_k - g_k
+    Q``.
 
-    Membership of ``t`` means ``alpha t^2 + 2 beta t + rest <= 0``.  When
-    ``strict`` the range is that of the open slice (``< 0``): equality holds
-    only at the two real roots, so at most the two ends of the closed range
-    drop out and the open slice stays one contiguous range."""
-    m, t_bound = form
-    alpha = m[k][k]
-    beta = 0
-    gamma = 0
-    for i in range(k):
-        pi = prefix[i]
-        if pi:
-            beta += m[i][k] * pi
-            row = m[i]
-            gamma += pi * sum(row[j] * prefix[j] for j in range(k))
-    rest = gamma - t_bound
-    disc = beta * beta - alpha * rest
-    if disc < 0:
-        return None
-    root = math.isqrt(disc)
-    hi = (-beta + root) // alpha
-    lo = -((beta + root) // alpha)
-    if strict:
-        if (alpha * lo + 2 * beta) * lo + rest == 0:
-            lo += 1
-        if (alpha * hi + 2 * beta) * hi + rest == 0:
-            hi -= 1
-    if lo > hi:
-        return None
-    return lo, hi
+    ``run_key(prefix)`` is ``t -> x M x`` on the last level, read from its
+    state, so the last call there must have been at ``prefix``."""
+    forms = body._integer_forms
+    scales = [s for _, s in forms]
+    alphas = [m[k][k] for k, (m, _) in enumerate(forms)]
+    columns = [m[k][:k] for k, (m, _) in enumerate(forms)]
+    gains = [0] + [alphas[k] * scales[k] // scales[k - 1]
+                   for k in range(1, len(forms))]
+    bounds = [0] * len(forms)
+    betas = [0] * len(forms)
+    gammas = [0] * len(forms)
+
+    def build(key: int) -> None:
+        bounds[:] = [key * s // scales[-1] for s in scales]
+
+    def interval(k: int, prefix: IntPoint) -> Bounds:
+        a = alphas[k]
+        if k:
+            j = k - 1
+            t = prefix[j]
+            gq = gains[k] * ((alphas[j] * t + 2 * betas[j]) * t + gammas[j])
+            b = sum(map(mul, columns[k], prefix))
+            betas[k] = b
+            gammas[k] = (gq + b * b) // a
+        else:
+            b = gq = 0
+        disc = a * bounds[k] - gq
+        if disc < 0:
+            return None
+        root = math.isqrt(disc)
+        hi = (root - b) // a
+        lo = -((b + root) // a)
+        if lo > hi:
+            return None
+        return lo, hi
+
+    def run_key(prefix: IntPoint) -> Callable[[int], int]:
+        a, b, c = alphas[-1], betas[-1], gammas[-1]
+        return lambda t: (a * t + 2 * b) * t + c
+
+    return build, interval, run_key
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +297,22 @@ def _axis_range(w: Fraction, mu: GaugeValue, strict: bool) -> range:
 def _dilate_interval(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
                      strict: bool) -> Callable[[int, IntPoint], Bounds]:
     """The walker's interval provider for ``mu * zbody`` (its interior when
-    strict)."""
-    last = zbody.dim - 1
+    strict).
+
+    For an ellipsoid with full form ``(M, s)`` and ``mu^2 = p/q`` the
+    integer points of the dilate are those of integer key ``x M x <=
+    floor(p s / q)``, and of its interior those of key ``x M x <= ceil(p s
+    / q) - 1``; every level is the projection of that key set."""
     if isinstance(zbody, Ellipsoid):
-        forms = _scaled_forms(zbody, mu)
+        sq = mu.squared()
+        num = sq.numerator * zbody._integer_forms[-1][1] - int(strict)
+        build, interval, _ = _chain_levels(zbody)
+        build(num // sq.denominator)
+        return interval
+    systems = _dilated_systems(zbody, mu, strict)
 
-        def interval(k: int, prefix: IntPoint) -> Bounds:
-            return _quad_interval(forms[k], prefix, k, strict and k == last)
-    else:
-        systems = _dilated_systems(zbody, mu, strict)
-
-        def interval(k: int, prefix: IntPoint) -> Bounds:
-            return _poly_interval(systems[k], prefix, k)
+    def interval(k: int, prefix: IntPoint) -> Bounds:
+        return _poly_interval(systems[k], prefix, k)
 
     return interval
 
@@ -498,19 +534,18 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
         view = view.polytope()
     _, to_gauge, threshold = integer_gauge_key(view)
     state = _OutsideState(threshold(mu))
-    search = _ell_search if isinstance(view, Ellipsoid) else _poly_search
+    search = _chain_levels if isinstance(view, Ellipsoid) else _poly_search
     build, interval, run_key = search(view)
     built_for = None
-    levels: list = []
 
     def level(k: int, prefix: IntPoint) -> Bounds:
-        nonlocal built_for, levels
+        nonlocal built_for
         if k == flat and not any(prefix):
             return None
         if built_for != state.best:
             built_for = state.best
-            levels = build(built_for)
-        return interval(levels[k], prefix, k)
+            build(built_for)
+        return interval(k, prefix)
 
     whole = flat == view.dim
     for prefix, lo, hi in _walk(view.dim, level, _centered):
@@ -523,31 +558,22 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
 def _poly_search(view: HPolytope):
     """``(build, interval, run_key)`` of the polytope search.
 
-    ``build(best)`` scales every cascade row ``c.x <= r`` to
-    ``lcm c.x <= best r``, so its levels bound the points of integer key at
-    most ``best``."""
+    The points of integer key at most ``best`` satisfy every cascade row
+    ``c.x <= r`` scaled to ``lcm c.x <= best r``, that is ``c.x <=
+    floor(best r / lcm)`` on integers.  So ``build(best)`` sets the levels
+    to the cascade's own coefficients with those bounds, and ``interval``
+    reads the levels of the last build."""
     key_rows, lcm = _poly_key_rows(view)
+    levels: list[list[tuple[IntPoint, int]]] = []
 
-    def build(best: int) -> list[list[tuple[IntPoint, int]]]:
-        return [[(tuple(lcm * c for c in coeffs), best * rhs)
-                 for coeffs, rhs in rows] for rows in view._cascade]
+    def build(best: int) -> None:
+        levels[:] = [[(coeffs, best * rhs // lcm) for coeffs, rhs in rows]
+                     for rows in view._cascade]
 
-    return build, _poly_interval, functools.partial(_poly_run_key, key_rows)
+    def interval(k: int, prefix: IntPoint) -> Bounds:
+        return _poly_interval(levels[k], prefix, k)
 
-
-def _ell_search(view: Ellipsoid):
-    """``(build, interval, run_key)`` of the ellipsoid search.
-
-    ``build(best)`` brings the Schur chain ``x M x <= s`` to the scale of
-    the full form ``(M_d, s_d)``: ``s_d x M x <= best s``."""
-    forms = view._integer_forms
-    m_full, s_full = forms[-1]
-
-    def build(best: int) -> list[tuple[tuple[IntPoint, ...], int]]:
-        return [(tuple(tuple(e * s_full for e in row) for row in m), best * s)
-                for m, s in forms]
-
-    return build, _quad_interval, functools.partial(_quad_run_key, m_full)
+    return build, interval, functools.partial(_poly_run_key, key_rows)
 
 
 def _centered(lo: int, hi: int) -> Iterator[int]:
@@ -703,9 +729,9 @@ def _image_run(image_rows: tuple[IntPoint, ...],
                prefix: IntPoint) -> tuple[IntPoint, IntPoint]:
     """Image of the leaf run ``prefix + (t,)`` as ``base + t*dirv``."""
     last = len(prefix)
-    base = tuple(sum(row[i] * prefix[i] for i in range(last))
-                 for row in image_rows)
-    dirv = tuple(row[last] for row in image_rows)
+    # map stops at the end of the prefix.
+    base = tuple([sum(map(mul, row, prefix)) for row in image_rows])
+    dirv = tuple([row[last] for row in image_rows])
     return base, dirv
 
 
@@ -718,16 +744,6 @@ def _poly_run_key(key_rows: list[tuple[IntPoint, int]], prefix: IntPoint):
     lines = [(f * sum(c * p for c, p in zip(coeffs, prefix) if c),
               f * coeffs[last]) for coeffs, f in key_rows]
     return lambda t: max(r + s * t for r, s in lines)
-
-
-def _quad_run_key(m: tuple[IntPoint, ...], prefix: IntPoint):
-    """``t -> x M x`` at ``x = prefix + (t,)``, as ``(a t + 2 b) t + c``."""
-    last = len(prefix)
-    a = m[last][last]
-    b = sum(m[last][i] * p for i, p in enumerate(prefix) if p)
-    c = sum(p * sum(m[i][j] * prefix[j] for j in range(last))
-            for i, p in enumerate(prefix) if p)
-    return lambda t: (a * t + 2 * b) * t + c
 
 
 def integer_gauge_key(zbody: SymmetricBody):

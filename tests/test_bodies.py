@@ -9,8 +9,7 @@ from hypothesis import given
 from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
                     InvalidBodyError, Lattice, Matrix, contains,
                     corner_gauge_bound, volume_estimate)
-from latmin.enumeration import (_dilated_systems, _poly_interval,
-                                _quad_interval, _scaled_forms)
+from latmin.enumeration import _dilate_interval
 
 from strategies import (bodies, boxes, ellipsoids, hpolytopes, int_points,
                         nonsingular_int_matrices, positive_fractions,
@@ -224,18 +223,15 @@ class TestSharedOperations:
 
     @given(st.integers(2, 3).flatmap(bodies), st.data())
     def test_last_coordinate_bounds_match_membership(self, body, data):
-        # The walker's last-level integer range at mu = 1; a box is walked
-        # as its polytope, as the minima search does.
+        # The walker's last-level integer range at mu = 1, with every level
+        # asked in turn along the prefix, as a depth-first walk does; a box
+        # is walked as its polytope, as the minima search does.
         prefix = data.draw(int_points(body.dim - 1, bound=2))
-        k = body.dim - 1
-        one = GaugeValue.rational(1)
-        if isinstance(body, Ellipsoid):
-            bounds = _quad_interval(_scaled_forms(body, one)[k], prefix, k)
-        else:
-            if isinstance(body, Box):
-                body = body.polytope()
-            bounds = _poly_interval(_dilated_systems(body, one, False)[k],
-                                    prefix, k)
+        if isinstance(body, Box):
+            body = body.polytope()
+        interval = _dilate_interval(body, GaugeValue.rational(1), False)
+        for k in range(body.dim):
+            bounds = interval(k, prefix[:k])
         for t in range(-8, 9):
             inside = body.gauge(prefix + (t,)) <= 1
             in_interval = bounds is not None and bounds[0] <= t <= bounds[1]

@@ -167,6 +167,14 @@ class TestCountCommand:
                              ["count", "--mu=-1"], json.dumps(BOX13_DOC))
         assert rc == 2 and err.startswith("input error: --mu")
         assert len(err.splitlines()) == 1
+        # Seeds are reduced modulo 2^64 by the instance stream, so the ones
+        # outside 0..2^64-1 would rerun another seed's campaign.
+        for seed in ("-1", str(1 << 64)):
+            rc, out, err = run_cli(monkeypatch, capsys,
+                                   ["fuzz", "--seed", seed, "--count", "1"])
+            assert (rc, out) == (2, "")
+            assert err.startswith("input error: --seed: ")
+            assert len(err.splitlines()) == 1
 
     def test_sqrt_dilation(self, monkeypatch, capsys):
         doc = json.dumps(BOX13_DOC)

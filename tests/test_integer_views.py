@@ -1,6 +1,7 @@
 """Integer paths of the pull-back and the minima search: preimage views
 through any rational basis, integer Fourier-Motzkin pruning, the integer
-Schur chain and the leaf run keys."""
+Schur chain and its incremental walk, the leaf run keys, and the rational
+matrices that views build only when read."""
 
 import itertools
 import math
@@ -8,16 +9,17 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
-                    InvalidBodyError, Matrix)
+                    InvalidBodyError, Matrix, minima)
 from latmin.bodies import (_derived, _eliminate_last, _int_det, _integer_basis,
                            _prune_rows)
-from latmin.enumeration import (_poly_interval, _poly_key_rows, _poly_run_key,
-                                _quad_run_key, integer_gauge_key)
+from latmin.enumeration import (_chain_levels, _dilate_interval,
+                                _poly_interval, _poly_key_rows, _poly_run_key,
+                                integer_gauge_key)
 from latmin.harness import InstanceSpec, generate
-from latmin.minima import _flag_unimodular
+from latmin.minima import _flag_unimodular, successive_minima
 
 from strategies import (boxes, ellipsoids, hpolytopes, int_matrices,
                         int_points, lattices, positive_fractions,
@@ -116,6 +118,7 @@ class TestPolytopeViews:
         view = body.preimage(u)
         rebuilt = HPolytope(body.normals @ u)
         assert view == rebuilt
+        assert view._integer_normals == rebuilt._integer_normals
         assert view._top_rows == rebuilt._top_rows
         for level, (got, want) in enumerate(zip(view._cascade,
                                                 rebuilt._cascade)):
@@ -194,6 +197,127 @@ class TestEllipsoidViews:
         semidefinite = Matrix.from_rows([[1, 1], [1, 1]])
         with pytest.raises(InvalidBodyError):
             _derived(Ellipsoid, gram=semidefinite)._integer_forms
+
+
+@st.composite
+def chain_bodies(draw):
+    """Ellipsoids of dims 2-6, half of them views over a sheared basis."""
+    dim = draw(st.integers(2, 6))
+    body = draw(ellipsoids(dim, bound=2))
+    if draw(st.booleans()):
+        body = body.preimage(draw(shear_unimodulars(dim)))
+    return body
+
+
+class TestChainLevels:
+    """The incremental Schur-chain provider of every ellipsoid walk."""
+
+    # Dilations mu as mu^2 = p/q: the body, a rational and a square root.
+    MU_SQUARED = (F(1), F(49, 16), F(5, 2))
+    WINDOW = range(-3, 4)
+
+    @settings(max_examples=20, deadline=None)
+    @given(chain_bodies(), st.integers(0, 50))
+    def test_depth_first_intervals_match_the_definition(self, body, extra):
+        # Walk every prefix of [-3, 3]^k depth first, feasible or not, and
+        # ask each provider at every node.  Level k of the points of key
+        # x M x <= K is the projection x M_k x <= K s_k / s, x M_k x
+        # computed here from its definition; each answer must be its
+        # integer range.  On the last level a dilate's key set must be the
+        # dilate itself, closed or open.
+        forms = body._integer_forms
+        last = body.dim - 1
+        s_full = forms[-1][1]
+        walks = []  # (interval, key K, the dilate on the last level)
+        for sq in self.MU_SQUARED:
+            p, q = sq.numerator, sq.denominator
+            for strict in (False, True):
+                def dilate(value, p=p, q=q, strict=strict):
+                    return q * value < p * s_full if strict else \
+                        q * value <= p * s_full
+                key = (p * s_full - strict) // q
+                walks.append((_dilate_interval(
+                    body, GaugeValue.sqrt_of(sq), strict), key, dilate))
+        # The search at an integer key that is not a multiple of s.
+        key = 2 * s_full + extra
+        build, interval, _ = _chain_levels(body)
+        build(key)
+        walks.append((interval, key, None))
+
+        def visit(prefix):
+            k = len(prefix)
+            m, s_k = forms[k]
+
+            # x M_k x at x = prefix + (t,), expanded in t from the
+            # definition: a t^2 + 2 b t + c.
+            a = m[k][k]
+            b = sum(m[i][k] * p for i, p in enumerate(prefix))
+            c = sum(p * m[i][j] * r for i, p in enumerate(prefix)
+                    for j, r in enumerate(prefix))
+
+            def value(t):
+                return (a * t + 2 * b) * t + c
+
+            for interval, key, dilate in walks:
+                def inside(t):
+                    v = value(t)
+                    member = s_full * v <= key * s_k
+                    if dilate and k == last:
+                        assert member == dilate(v)
+                    return member
+
+                got = interval(k, prefix)
+                if got is None:
+                    # The convex value takes its integer minimum next to
+                    # its vertex -b / a.
+                    vertex = -b // a
+                    assert not inside(vertex) and not inside(vertex + 1)
+                else:
+                    lo, hi = got
+                    assert lo <= hi and inside(lo) and inside(hi)
+                    assert not inside(lo - 1) and not inside(hi + 1)
+            if k < last:
+                for t in self.WINDOW:
+                    visit(prefix + (t,))
+
+        visit(())
+
+
+class TestLazyViews:
+    """Stage views keep only integer data until a field is read."""
+
+    @given(st.integers(2, 4).flatmap(
+        lambda d: st.tuples(st.one_of(rational_polytopes(d),
+                                      rational_ellipsoids(d), boxes(d)),
+                            lattices(d))))
+    def test_search_builds_no_rational_matrix(self, case):
+        body, lattice = case
+        seen = []
+        search = minima.min_key_point_outside
+
+        def spy(view, flat, mu, rows):
+            seen.append((view, rows))
+            return search(view, flat, mu, rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(minima, "min_key_point_outside", spy)
+            successive_minima(body, lattice)
+        # A stage that doubles mu searches the same view again, so every
+        # view is checked before any is read.
+        views = [(view, rows) for view, rows in seen if view is not body]
+        for view, _ in views:
+            assert "gram" not in vars(view) and "normals" not in vars(view)
+        polytope = body.polytope() if isinstance(body, Box) else body
+        for view, rows in views:
+            a = lattice.basis @ Matrix.from_rows(rows)
+            if isinstance(view, Ellipsoid):
+                rebuilt = Ellipsoid(a.transpose() @ body.gram @ a)
+            else:
+                rebuilt = HPolytope(polytope.normals @ a)
+            assert view == rebuilt and hash(view) == hash(rebuilt)
+            assert repr(view) == repr(rebuilt)
+            field = "gram" if isinstance(view, Ellipsoid) else "normals"
+            assert vars(view)[field] == getattr(rebuilt, field)
 
 
 class TestTransforms:
@@ -316,9 +440,15 @@ class TestRunKeys:
                                             int_points(d - 1, 3),
                                             st.integers(-5, 5))))
     def test_quad_run_key(self, case):
+        # The fused key reads the last level's state, so every level is
+        # asked in turn along the prefix first, as a depth-first walk does.
         body, prefix, t = case
-        m, s = body._integer_forms[-1]
-        key = _quad_run_key(m, prefix)(t)
+        s = body._integer_forms[-1][1]
+        build, interval, run_key = _chain_levels(body)
+        build(1)
+        for k in range(body.dim):
+            interval(k, prefix[:k])
+        key = run_key(prefix)(t)
         x = prefix + (t,)
         assert key == integer_gauge_key(body)[0](x)
         assert Fraction(key, s) == body.gauge_squared(x)
