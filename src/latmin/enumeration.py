@@ -11,34 +11,33 @@ takes the integer range of each coordinate from an interval provider and
 yields the last coordinate's range whole, as a leaf run ``(prefix, lo,
 hi)``.  Counting sums the run lengths, enumeration expands the runs, and the
 minima search (:func:`min_key_point_outside`) walks the same way with
-center-out ranges and a provider that reads its shrinking bound.  The ranges
-come from the body's cached projection cascade; the final coordinate is
-resolved against the full constraint system, which also decides strict
-(interior) membership exactly: on integers ``c.x < r`` is ``c.x <= r - 1``
-for polytopes, and ``x M x < T`` is ``x M x <= ceil(T) - 1`` for
-ellipsoids.  Boxes skip the walk: their counts and point lists are products
-of per-axis ranges.
+center-out ranges and a provider that reads its shrinking bound.  Boxes
+skip the walk: their counts and point lists are products of per-axis ranges.
 
-Every ellipsoid walk (search, counting, enumeration and the strict walk of
-:func:`open_point_outside`) runs on the integer Schur chain at one integer
-key, walked incrementally (:func:`_chain_levels`): each level keeps the
+Every walk of a dilate runs at one integer key.  Since ``mu^2 = p/q`` is
+rational, the integer points of ``mu*K``, or of its interior when strict,
+are those whose integer gauge key (:func:`integer_gauge_key`) is at most
+one integer ``K``: ``floor(mu lcm)``, or ``ceil(mu lcm) - 1`` when strict,
+for a polytope whose rows share the bound ``lcm`` (computed with
+``math.isqrt``, so rational and square-root dilations alike); ``floor(mu^2
+s)``, or ``ceil(mu^2 s) - 1``, for an ellipsoid with full form ``(M, s)``.
+The levels come from the same builders the search uses, ``build(K)`` of
+:func:`_poly_levels` (the Fourier-Motzkin cascade) and of
+:func:`_chain_levels` (the Schur chain), so every level is a projection of
+that key set.  The key set of a strict walk holds no point of the boundary,
+so the walk does not descend through every prefix of a tied boundary face
+only to find each last interval empty.
+
+The ellipsoid levels are walked incrementally: each level keeps the
 coefficients of its quadratic in the coordinate being fixed and derives
 them from its parent's in ``O(k)`` at depth ``k``, not ``O(k^2)``.  That
 state is sound because the walk is depth first: a level is always asked
 about a child of the prefix its parent was last asked about.
 
 All arithmetic on the hot path is plain integer arithmetic: polytope rows
-and ellipsoid Gram forms are integers, and a rational dilation ``p/q``
-or a search bound is folded into the integer bounds of each level rather
-than into the body or the coefficients.
-
-A dilation ``sqrt(p/q)`` is exact in integers too.  Ellipsoids fold ``p/q``
-into the squared bound of their forms.  For boxes and polytopes every
-integer bound ``n <= r*sqrt(p/q)`` becomes ``n <= isqrt(r^2 p // q)``, less
-one for strict membership when the square root is attained exactly; the
-final coordinate is resolved against these bounds, while the inner levels
-walk the cascade of the rational cover ``mu.rational_upper_bound()``, whose
-projections contain those of the dilate.
+and ellipsoid Gram forms are integers, and a dilation or a search bound is
+folded into the integer key that bounds each level rather than into the
+body or the coefficients.
 """
 
 from __future__ import annotations
@@ -77,10 +76,6 @@ class PointSet:
 
     def __iter__(self) -> Iterator[IntPoint]:
         return iter(self.points)
-
-    def ambient(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The points in ambient coordinates (basis applied)."""
-        return tuple(self.lattice.point(p) for p in self.points)
 
 
 def _standard_body(body: SymmetricBody, lattice: Lattice) -> SymmetricBody:
@@ -144,33 +139,6 @@ def _walk(dim: int, interval: Callable[[int, IntPoint], Bounds],
 # polytope levels: lists of integer rows per prefix length
 
 
-def _dilated_systems(body: HPolytope, mu: GaugeValue,
-                     strict: bool) -> list[list[tuple[tuple[int, ...], int]]]:
-    """The projection cascade of ``mu * body`` as integer rows ``c.x <= r``.
-
-    The final level holds the body's own rows with the dilation and the
-    strictness folded in, so its integer solutions are exactly the points of
-    the dilate (its interior when strict): on integers ``c.x <= r p/q`` is
-    ``c.x <= floor(r p / q)``, ``c.x < r p/q`` is ``c.x <= ceil(r p / q) -
-    1``, and for ``mu = sqrt(p/q)`` the bound ``c.x <= r*mu`` is ``c.x <=
-    isqrt(r^2 p // q)``.  The inner levels of a square-root dilation belong
-    to the rational cover ``mu.rational_upper_bound()``; their projections
-    contain those of the dilate, so they only admit extra prefixes whose
-    final interval is empty."""
-    cover = mu.rational_upper_bound()
-    num, den = cover.numerator, cover.denominator
-    systems = [[(coeffs, rhs * num // den) for coeffs, rhs in system]
-               for system in body._cascade]
-    if mu.is_sqrt:
-        p, q = mu.value.numerator, mu.value.denominator
-        systems[-1] = [(coeffs, _isqrt_bound(rhs * rhs * p, q, strict))
-                       for coeffs, rhs in body._top_rows]
-    elif strict:
-        systems[-1] = [(coeffs, (rhs * num - 1) // den)
-                       for coeffs, rhs in body._top_rows]
-    return systems
-
-
 def _poly_interval(rows, prefix: IntPoint, k: int) -> Bounds:
     """Integer range of coordinate ``k`` under ``rows`` at ``prefix``;
     ``None`` when it is empty."""
@@ -198,6 +166,31 @@ def _poly_interval(rows, prefix: IntPoint, k: int) -> Bounds:
     if lo > hi:
         return None
     return lo, hi
+
+
+def _poly_levels(view: HPolytope):
+    """``(build, interval, run_key)``: the walker's levels for the points of
+    ``view`` with integer key at most ``K`` (:func:`_poly_key_rows`).
+
+    A point has key at most ``K`` iff it satisfies every top row ``c.x <=
+    r`` scaled to ``lcm c.x <= K r``, and the cascade rows, projections of
+    the top rows, scale the same way.  So ``build(K)`` sets the levels to
+    the cascade's own coefficients with the bounds ``floor(K r / lcm)``:
+    level ``k`` bounds the projection of the key set on the first ``k + 1``
+    coordinates, and the last level is the key set itself.  ``interval``
+    reads the levels of the last build, so a search may rebuild between
+    calls."""
+    key_rows, lcm = _poly_key_rows(view)
+    levels: list[list[tuple[IntPoint, int]]] = []
+
+    def build(key: int) -> None:
+        levels[:] = [[(coeffs, key * rhs // lcm) for coeffs, rhs in rows]
+                     for rows in view._cascade]
+
+    def interval(k: int, prefix: IntPoint) -> Bounds:
+        return _poly_interval(levels[k], prefix, k)
+
+    return build, interval, functools.partial(_poly_run_key, key_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +270,11 @@ def _chain_levels(body: Ellipsoid):
 
 
 def _axis_range(w: Fraction, mu: GaugeValue, strict: bool) -> range:
-    """The integers ``t`` with ``|t| <= mu*w`` (``<`` when strict)."""
-    v = mu.value
-    if mu.is_sqrt:
-        m = _isqrt_bound(w.numerator ** 2 * v.numerator,
-                         w.denominator ** 2 * v.denominator, strict)
-    else:
-        width = w * v
-        m = width.numerator // width.denominator
-        if strict and width.denominator == 1:
-            m -= 1
+    """The integers ``t`` with ``|t| <= mu*w`` (``<`` when strict): with
+    ``mu^2 = p/q`` that is ``t^2 <= w^2 p/q``."""
+    sq = mu.squared()
+    m = _isqrt_bound(w.numerator ** 2 * sq.numerator,
+                     w.denominator ** 2 * sq.denominator, strict)
     return range(-m, m + 1)
 
 
@@ -297,23 +285,25 @@ def _axis_range(w: Fraction, mu: GaugeValue, strict: bool) -> range:
 def _dilate_interval(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
                      strict: bool) -> Callable[[int, IntPoint], Bounds]:
     """The walker's interval provider for ``mu * zbody`` (its interior when
-    strict).
+    strict): the search's own levels, built at one integer key.
 
-    For an ellipsoid with full form ``(M, s)`` and ``mu^2 = p/q`` the
-    integer points of the dilate are those of integer key ``x M x <=
-    floor(p s / q)``, and of its interior those of key ``x M x <= ceil(p s
-    / q) - 1``; every level is the projection of that key set."""
+    With ``mu^2 = p/q`` the integer points of the dilate, or of its
+    interior when strict, are those of integer key (:func:`integer_gauge_key`)
+    at most one integer ``K``.  For a polytope whose key rows share the
+    bound ``lcm``, ``key <= mu lcm`` gives ``K = isqrt(lcm^2 p // q)``, one
+    less when strict and the root is attained.  For an ellipsoid with full
+    form ``(M, s)``, ``x M x <= p s / q`` gives ``K = floor(p s / q)``, or
+    ``ceil(p s / q) - 1`` when strict.  Every level is then the projection
+    of that key set."""
+    sq = mu.squared()
+    p, q = sq.numerator, sq.denominator
     if isinstance(zbody, Ellipsoid):
-        sq = mu.squared()
-        num = sq.numerator * zbody._integer_forms[-1][1] - int(strict)
         build, interval, _ = _chain_levels(zbody)
-        build(num // sq.denominator)
-        return interval
-    systems = _dilated_systems(zbody, mu, strict)
-
-    def interval(k: int, prefix: IntPoint) -> Bounds:
-        return _poly_interval(systems[k], prefix, k)
-
+        build((p * zbody._integer_forms[-1][1] - int(strict)) // q)
+    else:
+        build, interval, _ = _poly_levels(zbody)
+        _, lcm = _poly_key_rows(zbody)
+        build(_isqrt_bound(lcm * lcm * p, q, strict))
     return interval
 
 
@@ -328,11 +318,15 @@ def open_point_outside(view: SymmetricBody, mu: GaugeValue, flat: int) -> bool:
     """Does the open dilate ``mu * view`` hold an integer point whose first
     ``flat`` coordinates are not all zero?
 
-    One strict walk that stops at the first run holding such a point.  As in
-    :func:`min_key_point_outside`, coordinate ``flat`` gets an empty interval
-    when the prefix is zero, so the subspace is never walked; with ``flat ==
-    dim`` only the origin is left out.  A box holds such a point iff one of
-    its first ``flat`` open axis ranges holds a nonzero integer."""
+    One strict walk that stops at the first run holding such a point.  Its
+    levels are projections of the key set of the open dilate
+    (:func:`_dilate_interval`), which holds no point of the boundary, so
+    the walk does not descend through the prefixes of a tied face.  As
+    in :func:`min_key_point_outside`, coordinate ``flat`` gets an empty
+    interval when the prefix is zero, so the subspace is never walked; with
+    ``flat == dim`` only the origin is left out.  A box holds such a point
+    iff one of its first ``flat`` open axis ranges holds a nonzero
+    integer."""
     if not 1 <= flat <= view.dim:
         raise ValueError("flat must be in 1..dim")
     if isinstance(view, Box):
@@ -534,7 +528,7 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
         view = view.polytope()
     _, to_gauge, threshold = integer_gauge_key(view)
     state = _OutsideState(threshold(mu))
-    search = _chain_levels if isinstance(view, Ellipsoid) else _poly_search
+    search = _chain_levels if isinstance(view, Ellipsoid) else _poly_levels
     build, interval, run_key = search(view)
     built_for = None
 
@@ -553,27 +547,6 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
         state.absorb_run(lo, hi, run_key(prefix), base, dirv,
                          whole and not any(prefix))
     return state.result(to_gauge)
-
-
-def _poly_search(view: HPolytope):
-    """``(build, interval, run_key)`` of the polytope search.
-
-    The points of integer key at most ``best`` satisfy every cascade row
-    ``c.x <= r`` scaled to ``lcm c.x <= best r``, that is ``c.x <=
-    floor(best r / lcm)`` on integers.  So ``build(best)`` sets the levels
-    to the cascade's own coefficients with those bounds, and ``interval``
-    reads the levels of the last build."""
-    key_rows, lcm = _poly_key_rows(view)
-    levels: list[list[tuple[IntPoint, int]]] = []
-
-    def build(best: int) -> None:
-        levels[:] = [[(coeffs, best * rhs // lcm) for coeffs, rhs in rows]
-                     for rows in view._cascade]
-
-    def interval(k: int, prefix: IntPoint) -> Bounds:
-        return _poly_interval(levels[k], prefix, k)
-
-    return build, interval, functools.partial(_poly_run_key, key_rows)
 
 
 def _centered(lo: int, hi: int) -> Iterator[int]:

@@ -221,18 +221,26 @@ class TestSharedOperations:
         x = data.draw(int_points(body.dim))
         assert body.scale(c).gauge(x) == body.gauge(x) / c
 
-    @given(st.integers(2, 3).flatmap(bodies), st.data())
-    def test_last_coordinate_bounds_match_membership(self, body, data):
-        # The walker's last-level integer range at mu = 1, with every level
-        # asked in turn along the prefix, as a depth-first walk does; a box
-        # is walked as its polytope, as the minima search does.
+    @given(st.integers(2, 3).flatmap(bodies), st.data(),
+           st.sampled_from([GaugeValue.rational(1),
+                            GaugeValue.rational(F(3, 2)),
+                            GaugeValue.sqrt_of(2),
+                            GaugeValue.sqrt_of(F(9, 4))]),
+           st.booleans())
+    def test_last_coordinate_bounds_match_membership(self, body, data, mu,
+                                                     strict):
+        # The walker's last-level integer range at mu, closed or strict,
+        # with every level asked in turn along the prefix, as a depth-first
+        # walk does; a box is walked as its polytope, as the minima search
+        # does.
         prefix = data.draw(int_points(body.dim - 1, bound=2))
         if isinstance(body, Box):
             body = body.polytope()
-        interval = _dilate_interval(body, GaugeValue.rational(1), False)
+        interval = _dilate_interval(body, mu, strict)
         for k in range(body.dim):
             bounds = interval(k, prefix[:k])
         for t in range(-8, 9):
-            inside = body.gauge(prefix + (t,)) <= 1
+            gauge = body.gauge(prefix + (t,))
+            inside = gauge < mu if strict else gauge <= mu
             in_interval = bounds is not None and bounds[0] <= t <= bounds[1]
             assert inside == in_interval

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
                     count_oracle, count_points, enclosing_radius,
                     enumerate_points)
+from latmin import enumeration
 from latmin.enumeration import (axis_extent_bounds, axis_radii,
-                                integer_gauge_key, min_key_point_outside)
+                                integer_gauge_key, min_key_point_outside,
+                                open_point_outside)
 
 from strategies import (bodies, boxes, instances, lattices,
                         shear_unimodulars)
@@ -80,12 +82,6 @@ class TestEnumerate:
     def test_zero_dilation(self):
         assert tuple(enumerate_points(UNIT_BOX, STD2, 0)) == ((0, 0),)
         assert len(enumerate_points(UNIT_BOX, STD2, 0, strict=True)) == 0
-
-    def test_ambient_applies_basis(self):
-        pts = enumerate_points(BOX13, SKEW, 1)
-        assert set(pts.ambient()) == {
-            tuple(map(F, (a + b, 2 * b)))
-            for a, b in pts}
 
     @given(small_instances(), st.sampled_from(
         [F(1), F(1, 2), F(3, 2), GaugeValue.sqrt_of(2),
@@ -267,3 +263,26 @@ class TestMinKeyPointOutside:
         got = min_key_point_outside(box, flat, mu, rows)
         assert got == min_key_point_outside(poly, flat, mu, rows)
         assert got == _brute_outside(box, flat, mu, rows)
+
+
+class TestOpenPointOutside:
+    def test_strict_walk_skips_a_tied_face(self, monkeypatch):
+        # |x_1| <= 1 and |x_i| <= 10: the face x_1 = +-1 holds 2 * 21^5
+        # lattice points, and the open unit dilate holds none off x_1 = 0.
+        # Every level of the strict walk is a projection of the open
+        # dilate, so level 0 already pins x_1 = 0 and the walk ends there.
+        dim = 6
+        body = HPolytope(Matrix.diagonal([F(1)] + [F(1, 10)] * (dim - 1)))
+        calls = 0
+        inner = enumeration._poly_interval
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(enumeration, "_poly_interval", counted)
+        for mu in (GaugeValue.rational(1), GaugeValue.sqrt_of(1)):
+            calls = 0
+            assert open_point_outside(body, mu, 1) is False
+            assert calls <= dim
