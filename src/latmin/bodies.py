@@ -35,21 +35,23 @@ it would cost walking time, not give a wrong answer.
 
 ``preimage`` writes any nonsingular rational basis as ``Z / D`` (``Z``
 integer, ``D`` the least common denominator) and derives the pulled-back
-body from the parent's cached integer data: a polytope row ``c.x <= r``
-becomes ``(c Z).y <= r D``, the integer Gram form ``(M, s)`` becomes
-``(Z^T M Z, s D^2)``, each reduced to the form the constructor computes.
-The constructors' checks are replaced by ones of equal strength:
+body from the parent's cached integer data: the integer normals ``(N, E)``
+become ``(N Z, E D)``, the integer Gram form ``(M, s)`` becomes ``(Z^T M Z,
+s D^2)``, each reduced to the form the constructor computes.  The
+constructors' checks are replaced by ones of equal strength:
 nonsingularity by the integer (Bareiss) determinant of ``Z``, polytope rank
 by the parent's rank, and positive definiteness by positive pivots of the
 integer Schur chain (Sylvester's criterion), as in the constructor.
 
-A view carries only integer data: its rational ``normals`` (numerators
-``N Z`` over ``E D``) or ``gram`` is built on first read from the cached
-integer form and kept, so the minima search, which reads only the integer
-rows and forms, never builds a ``Fraction`` for its stage views.  ``==``,
-``hash`` and ``repr`` read the field and build it; the result equals the
-constructor's.  ``dim`` and the gauges read the integer form directly, and
-the gauges stay independent of the search rows.
+A view carries only integer data.  A polytope view stores only its integer
+normals: its top rows, its cascade and its rational ``normals`` (numerators
+``N Z`` over ``E D``) are derived from them on first read and kept, as an
+ellipsoid view's ``gram`` is from its integer form.  So the minima search,
+which reads only the integer rows and forms, never builds a ``Fraction``
+for its stage views.  ``==``, ``hash`` and ``repr`` read the field and
+build it; the result equals the constructor's.  ``dim`` and the gauges read
+the integer form directly, and the gauges stay independent of the search
+rows.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .gauges import GaugeValue
 from .lattices import Lattice
@@ -81,18 +83,6 @@ class InvalidBodyError(ValueError):
 
 # ---------------------------------------------------------------------------
 # small integer helpers
-
-
-def _integerize(coeffs: Sequence[Fraction], rhs: Fraction) -> IntRow:
-    """Scale ``coeffs . x <= rhs`` by a positive rational into primitive ints."""
-    lcm = math.lcm(*(c.denominator for c in coeffs), rhs.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    b = int(rhs * lcm)
-    g = math.gcd(*ints, b)
-    if g > 1:
-        ints = [c // g for c in ints]
-        b //= g
-    return tuple(ints), b
 
 
 def _row_times(row: Sequence[int],
@@ -144,107 +134,90 @@ def _schur_chain(form: IntForm) -> tuple[IntForm, ...]:
     return tuple(forms)
 
 
-def _prune_rows(rows: list[IntRow]) -> list[IntRow]:
+def _tightest(rows: Iterable[tuple[tuple[int, ...], int, int]],
+              ) -> list[tuple[IntRow, int]]:
     """Drop trivial rows and keep only the tightest of parallel rows.
 
-    Parallel rows share the primitive direction ``coeffs / g``; their bounds
-    ``rhs / g`` are compared by cross-multiplication.  The kept bound is
-    written in lowest terms ``num / den`` as the row ``(den * key, num)``."""
-    best: dict[tuple[int, ...], tuple[int, int]] = {}
-    for coeffs, rhs in rows:
+    A row ``(coeffs, rhs, h)`` is ``coeffs . x <= rhs``, built from the set
+    ``h`` of original rows (a bitmask).  Parallel rows share the primitive
+    direction ``coeffs / g``; their bounds ``rhs / g`` are compared by
+    cross-multiplication, and of tied ones the first with the smallest set
+    is kept, as ``((den * key, num), h)`` for the bound ``num / den`` in
+    lowest terms, in the order the directions first occur."""
+    # Primitive direction -> (rhs, g, h) of the row g * key . x <= rhs.
+    best: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for coeffs, rhs, h in rows:
         g = math.gcd(*coeffs)
         if g == 0:
             # 0 <= rhs; trivially true for the 0-symmetric bodies we build.
             if rhs < 0:
                 raise InvalidBodyError("projection produced an empty system")
             continue
-        key = tuple([c // g for c in coeffs])
+        key = tuple([c // g for c in coeffs]) if g > 1 else coeffs
         old = best.get(key)
-        if old is None or rhs * old[1] < old[0] * g:
-            best[key] = (rhs, g)
+        if old is not None:
+            cross, old_cross = rhs * old[1], old[0] * g
+            if cross > old_cross or (cross == old_cross and
+                                     h.bit_count() >= old[2].bit_count()):
+                continue
+        best[key] = (rhs, g, h)
     out = []
-    for key, (rhs, g) in best.items():
-        h = math.gcd(rhs, g)
-        den = g // h
-        out.append((tuple(c * den for c in key), rhs // h))
+    for key, (rhs, g, h) in best.items():
+        q = math.gcd(rhs, g)
+        den = g // q
+        out.append(((tuple([c * den for c in key]), rhs // q), h))
     return out
 
 
-def _combinations(rows: Sequence[IntRow], hists: Sequence[int], width: int,
-                  limit: int) -> Iterator[tuple[IntRow, int]]:
-    """The rows of the Fourier-Motzkin elimination of variable
-    ``width - 1``, each with its set of original rows.
-
-    ``hists[i]`` is the set of original rows that ``rows[i]`` was built
-    from, as a bitmask.  The rows free of the variable come first, then
-    each combination of a row with a positive and a row with a negative
-    coefficient, except those of more than ``limit`` original rows:
-    Chernikov's rule (1965), ``limit`` being one more than the number of
-    variables eliminated so far, proves them implied by the others."""
-    pos: list[tuple[IntRow, int]] = []
-    neg: list[tuple[IntRow, int]] = []
-    for (coeffs, rhs), h in zip(rows, hists):
-        last = coeffs[width - 1]
-        if last == 0:
-            yield (coeffs[:width - 1], rhs), h
-        elif last > 0:
-            pos.append(((coeffs, rhs), h))
-        else:
-            neg.append(((coeffs, rhs), h))
-    for (cp, bp), hp in pos:
-        a = cp[width - 1]
-        head = cp[:width - 1]
-        for (cn, bn), hn in neg:
-            h = hp | hn
-            if h.bit_count() > limit:
-                continue
-            d = -cn[width - 1]
-            yield (tuple([d * x + a * y for x, y in zip(head, cn)]),
-                   d * bp + a * bn), h
+def _prune_rows(rows: Iterable[IntRow]) -> list[IntRow]:
+    """:func:`_tightest` of rows that carry no sets."""
+    return [row for row, _ in _tightest((c, r, 0) for c, r in rows)]
 
 
-def _eliminate_last(rows: list[IntRow], hists: list[int], width: int,
+def _eliminate_last(rows: Sequence[IntRow], hists: Sequence[int], width: int,
                     limit: int) -> tuple[list[IntRow], list[int]]:
-    """Fourier-Motzkin elimination of variable ``width - 1``.
+    """Fourier-Motzkin elimination of variable ``width - 1``, in one pass.
 
     ``hists[i]`` is the set of original rows that ``rows[i]`` was built
-    from, as a bitmask; the result carries the sets of its rows.  Besides
-    the parallel-row pruning of :func:`_prune_rows` two rules drop rows
-    that the others imply (Imbert 1993):
+    from, as a bitmask; the result carries the sets of its rows.  The rows
+    free of the variable, then each combination of a row with a positive
+    and a row with a negative coefficient, go through one
+    :func:`_tightest` pass, which keeps the tightest of parallel rows and,
+    of tied ones, the one with the smaller set.  Two rules drop rows that
+    the others imply (Imbert 1993):
 
     * Chernikov (1965): a combination of more than ``limit`` original
       rows, ``limit`` being one more than the number of variables
-      eliminated so far, is never built (:func:`_combinations`);
+      eliminated so far, is never built;
     * Kohler (1967): a row whose set strictly contains the set of another
       kept row is dropped.
 
-    Of tied parallel rows the one with the smaller set is kept.  By the
-    two rules' theorems every dropped row is implied by the kept ones, so
-    the result is the same projection; a row dropped in error could only
-    enlarge it, never shrink it."""
-    # Rows are divided by their gcd, the primitive form _prune_rows writes,
-    # so each kept row is one of these and ``hist_of`` gives its smallest
-    # set.
-    hist_of: dict[IntRow, int] = {}
-    out = []
-    for (coeffs, rhs), h in _combinations(rows, hists, width, limit):
-        g = math.gcd(*coeffs, rhs)
-        if g > 1:
-            coeffs = tuple([c // g for c in coeffs])
-            rhs //= g
-        row = (coeffs, rhs)
-        out.append(row)
-        old = hist_of.get(row)
-        if old is None or h.bit_count() < old.bit_count():
-            hist_of[row] = h
-    kept = _prune_rows(out)
+    By the two rules' theorems every dropped row is implied by the kept
+    ones, so the result is the same projection; a row dropped in error
+    could only enlarge it, never shrink it."""
+    last = width - 1
+    out: list[tuple[tuple[int, ...], int, int]] = []
+    pos, neg = [], []
+    for (coeffs, rhs), h in zip(rows, hists):
+        a = coeffs[last]
+        if a == 0:
+            out.append((coeffs[:last], rhs, h))
+        elif a > 0:
+            pos.append((coeffs[:last], a, rhs, h))
+        else:
+            neg.append((coeffs[:last], -a, rhs, h))
+    out += [(tuple([d * x + a * y for x, y in zip(cp, cn)]), d * bp + a * bn,
+             hp | hn)
+            for cp, a, bp, hp in pos for cn, d, bn, hn in neg
+            if (hp | hn).bit_count() <= limit]
+    kept = _tightest(out)
     # By increasing size, so a set is kept iff no kept set is a subset.
     minimal: set[int] = set()
-    for h in sorted({hist_of[row] for row in kept}, key=int.bit_count):
+    for h in sorted({h for _, h in kept}, key=int.bit_count):
         if not any(m & h == m for m in minimal):
             minimal.add(h)
-    kept = [row for row in kept if hist_of[row] in minimal]
-    return kept, [hist_of[row] for row in kept]
+    kept = [(row, h) for row, h in kept if h in minimal]
+    return [row for row, _ in kept], [h for _, h in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +278,15 @@ class Box:
         return Box(tuple(widths))
 
     def polytope(self) -> "HPolytope":
-        """The same body as the polytope with normals ``e_i / w_i``."""
-        return HPolytope(Matrix.diagonal([1 / w for w in self.halfwidths]))
+        """The same body as the polytope with normals ``e_i / w_i``: for
+        ``w_i = n_i / d_i`` and ``L = lcm(n_i)``, the integer normals
+        ``(diag(d_i L / n_i), L)``, with no rank check (a nonzero
+        diagonal)."""
+        lcm = math.lcm(*(w.numerator for w in self.halfwidths))
+        return _derived(HPolytope, _integer_normals=(tuple(
+            tuple([w.denominator * lcm // w.numerator if i == j else 0
+                   for j in range(self.dim)])
+            for i, w in enumerate(self.halfwidths)), lcm))
 
     @property
     def volume(self) -> Fraction:
@@ -361,21 +341,16 @@ class HPolytope:
         """The body ``{y : a @ y in self}``, i.e. normals ``self.normals @ a``,
         for a rational :class:`Matrix` or integer rows ``a``.
 
-        With ``a = Z / D`` (``D = 1`` for integer rows) each row ``c.x <= r``
-        of :attr:`_top_rows` becomes ``(c Z).y <= r D``, which
-        :func:`_prune_rows` brings to the canonical primitive rows the
-        constructor would compute, in the same order.  The integer normals
-        ``(N, E)`` become ``(N Z, E D)`` in lowest terms; the view's
-        ``normals`` are built from them only when read.  The rank carries
-        over because ``Z`` is nonsingular."""
+        With ``a = Z / D`` (``D = 1`` for integer rows) the integer normals
+        ``(N, E)`` become ``(N Z, E D)`` in lowest terms, and the view stores
+        nothing else: its ``normals``, :attr:`_top_rows` and
+        :attr:`_cascade` are built from them only when read.  The rank
+        carries over because ``Z`` is nonsingular."""
         z, d = _integer_basis(a, self.dim)
         cols = tuple(zip(*z))
         nums, den = self._integer_normals
         return _derived(HPolytope, _integer_normals=_reduced(
-                            [_row_times(row, cols) for row in nums], den * d),
-                        _top_rows=tuple(_prune_rows(
-                            [(_row_times(coeffs, cols), rhs * d)
-                             for coeffs, rhs in self._top_rows])))
+            [_row_times(row, cols) for row in nums], den * d))
 
     @cached_property
     def _integer_normals(self) -> IntForm:
@@ -385,12 +360,18 @@ class HPolytope:
 
     @cached_property
     def _top_rows(self) -> tuple[IntRow, ...]:
-        """The system ``|<a_i, x>| <= 1`` as pruned primitive integer rows."""
+        """The system ``|<a_i, x>| <= 1`` as pruned primitive integer rows:
+        row ``z`` of the integer normals ``(Z, D)`` gives ``+-(z / g, D /
+        g)``, ``g = gcd(D, *z)``.  A view's rows are its parent's pulled
+        back, in the same order: a nonsingular basis keeps the parallel
+        classes and which bound of each is tightest."""
+        z, d = self._integer_normals
         rows: list[IntRow] = []
-        for normal in self.normals.entries:
-            coeffs, rhs = _integerize(normal, Fraction(1))
-            rows.append((coeffs, rhs))
-            rows.append((tuple(-c for c in coeffs), rhs))
+        for row in z:
+            g = math.gcd(d, *row)
+            coeffs = tuple([c // g for c in row])
+            rows.append((coeffs, d // g))
+            rows.append((tuple([-c for c in coeffs]), d // g))
         return tuple(_prune_rows(rows))
 
     @cached_property
@@ -404,16 +385,8 @@ class HPolytope:
         systems = [self._top_rows]
         hists = [1 << i for i in range(len(self._top_rows))]
         for width in range(self.dim, 1, -1):
-            limit = self.dim - width + 2
-            if width > 2:
-                rows, hists = _eliminate_last(list(systems[-1]), hists,
-                                              width, limit)
-            else:
-                # Level 0 needs no sets: nothing reads them, and
-                # _prune_rows leaves one row per sign, neither implied by
-                # the other, so Kohler's rule cannot drop either.
-                rows = _prune_rows([row for row, _ in _combinations(
-                    systems[-1], hists, width, limit)])
+            rows, hists = _eliminate_last(systems[-1], hists, width,
+                                          self.dim - width + 2)
             systems.append(tuple(rows))
         systems.reverse()
         for k, system in enumerate(systems):

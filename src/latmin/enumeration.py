@@ -119,20 +119,34 @@ def _walk(dim: int, interval: Callable[[int, IntPoint], Bounds],
     The inner coordinates take their values in the order ``span(lo, hi)``;
     the last coordinate's range is yielded whole, as one run.  The walk is
     lazy, so ``interval`` may read state that the consumer changes between
-    runs (the search tightens its bound this way)."""
+    runs (the search tightens its bound this way).  A stack of the open
+    ``span`` iterators keeps the depth-first order of a recursion without
+    a generator per node or a closure that refers to itself."""
     last = dim - 1
-
-    def rec(k: int, prefix: IntPoint) -> Iterator[Run]:
-        iv = interval(k, prefix)
-        if iv is None:
-            return
-        if k == last:
-            yield prefix, iv[0], iv[1]
-            return
-        for t in span(*iv):
-            yield from rec(k + 1, prefix + (t,))
-
-    return rec(0, ())
+    iv = interval(0, ())
+    if iv is None:
+        return
+    if not last:
+        yield (), iv[0], iv[1]
+        return
+    prefix: IntPoint = ()  # the prefix of the innermost open span
+    spans = [iter(span(*iv))]
+    while spans:
+        k = len(spans)
+        for t in spans[-1]:
+            child = prefix + (t,)
+            iv = interval(k, child)
+            if iv is None:
+                continue
+            if k == last:
+                yield child, iv[0], iv[1]
+            else:
+                prefix = child
+                spans.append(iter(span(*iv)))
+                break
+        else:
+            spans.pop()
+            prefix = prefix[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +182,11 @@ def _poly_interval(rows, prefix: IntPoint, k: int) -> Bounds:
     return lo, hi
 
 
-def _poly_levels(view: HPolytope):
+def _poly_levels(view: HPolytope, key_rows: list[tuple[IntPoint, int]],
+                 lcm: int):
     """``(build, interval, run_key)``: the walker's levels for the points of
-    ``view`` with integer key at most ``K`` (:func:`_poly_key_rows`).
+    ``view`` with integer key at most ``K``, for the key rows ``(key_rows,
+    lcm)`` of :func:`_poly_key_rows`, which the caller computes once.
 
     A point has key at most ``K`` iff it satisfies every top row ``c.x <=
     r`` scaled to ``lcm c.x <= K r``, and the cascade rows, projections of
@@ -180,7 +196,6 @@ def _poly_levels(view: HPolytope):
     coordinates, and the last level is the key set itself.  ``interval``
     reads the levels of the last build, so a search may rebuild between
     calls."""
-    key_rows, lcm = _poly_key_rows(view)
     levels: list[list[tuple[IntPoint, int]]] = []
 
     def build(key: int) -> None:
@@ -301,8 +316,8 @@ def _dilate_interval(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
         build, interval, _ = _chain_levels(zbody)
         build((p * zbody._integer_forms[-1][1] - int(strict)) // q)
     else:
-        build, interval, _ = _poly_levels(zbody)
-        _, lcm = _poly_key_rows(zbody)
+        key_rows, lcm = _poly_key_rows(zbody)
+        build, interval, _ = _poly_levels(zbody, key_rows, lcm)
         build(_isqrt_bound(lcm * lcm * p, q, strict))
     return interval
 
@@ -526,10 +541,14 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
         raise ValueError("mu must be a positive integer")
     if isinstance(view, Box):
         view = view.polytope()
-    _, to_gauge, threshold = integer_gauge_key(view)
+    if isinstance(view, Ellipsoid):
+        _, to_gauge, threshold = integer_gauge_key(view)
+        build, interval, run_key = _chain_levels(view)
+    else:
+        key_rows, lcm = _poly_key_rows(view)
+        _, to_gauge, threshold = _poly_gauge_key(key_rows, lcm)
+        build, interval, run_key = _poly_levels(view, key_rows, lcm)
     state = _OutsideState(threshold(mu))
-    search = _chain_levels if isinstance(view, Ellipsoid) else _poly_levels
-    build, interval, run_key = search(view)
     built_for = None
 
     def level(k: int, prefix: IntPoint) -> Bounds:
@@ -741,14 +760,7 @@ def integer_gauge_key(zbody: SymmetricBody):
                 lambda mu: mu * lcm)
 
     if isinstance(zbody, HPolytope):
-        scaled, lcm = _poly_key_rows(zbody)
-
-        def key_poly(x: IntPoint) -> int:
-            return max(f * sum(c * xi for c, xi in zip(coeffs, x))
-                       for coeffs, f in scaled)
-
-        return (key_poly, lambda k: GaugeValue.rational(Fraction(k, lcm)),
-                lambda mu: mu * lcm)
+        return _poly_gauge_key(*_poly_key_rows(zbody))
 
     m, s = zbody._integer_forms[zbody.dim - 1]
 
@@ -758,6 +770,18 @@ def integer_gauge_key(zbody: SymmetricBody):
 
     return (key_ell, lambda k: GaugeValue.sqrt_of(Fraction(k, s)),
             lambda mu: mu * mu * s)
+
+
+def _poly_gauge_key(scaled: list[tuple[IntPoint, int]], lcm: int):
+    """:func:`integer_gauge_key` of a polytope with key rows ``(scaled,
+    lcm)`` (:func:`_poly_key_rows`)."""
+
+    def key_poly(x: IntPoint) -> int:
+        return max(f * sum(c * xi for c, xi in zip(coeffs, x))
+                   for coeffs, f in scaled)
+
+    return (key_poly, lambda k: GaugeValue.rational(Fraction(k, lcm)),
+            lambda mu: mu * lcm)
 
 
 def _poly_key_rows(zbody: HPolytope) -> tuple[list[tuple[IntPoint, int]], int]:

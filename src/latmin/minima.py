@@ -137,7 +137,8 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
     appears.  The dilation never shrinks between stages because the minima
     are nondecreasing.  Each stage's view is the body pulled back through
     the integer unimodular inverse of the alignment, which ``preimage``
-    derives by integer congruence.
+    derives by integer congruence; it is built once per stage, not once
+    per doubling.
     """
     dim = body.dim
     zbody = _standard_body(body, lattice)
@@ -148,23 +149,21 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
                      for i in range(dim))
     minima: list[GaugeValue] = []
     witnesses: list[IntPoint] = []
+    view, rows = zbody, identity
     mu = 1
     while len(witnesses) < dim:
-        k = len(witnesses)
-        if k == 0:
-            view, rows = zbody, identity
-        else:
-            # The search receives the integer inverse of the alignment to
-            # express its preference directly on the original coordinates.
-            rows = _flag_unimodular(witnesses, dim)
-            view = zbody.preimage(rows)
-        found = min_key_point_outside(view, dim - k, mu, rows)
+        found = min_key_point_outside(view, dim - len(witnesses), mu, rows)
         if found is None:
             mu *= 2
             continue
         gauge, witness = found
         minima.append(gauge)
         witnesses.append(witness)
+        if len(witnesses) < dim:
+            # The search receives the integer inverse of the alignment to
+            # express its preference directly on the original coordinates.
+            rows = _flag_unimodular(witnesses, dim)
+            view = zbody.preimage(rows)
     return MinimaResult(tuple(minima), tuple(witnesses))
 
 

@@ -1,5 +1,6 @@
 """Point counting, enumeration, box scans, and the pruned outside-search."""
 
+import gc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -13,6 +14,7 @@ from latmin import enumeration
 from latmin.enumeration import (axis_extent_bounds, axis_radii,
                                 integer_gauge_key, min_key_point_outside,
                                 open_point_outside)
+from latmin.minima import successive_minima
 
 from strategies import (bodies, boxes, instances, lattices,
                         shear_unimodulars)
@@ -286,3 +288,30 @@ class TestOpenPointOutside:
             calls = 0
             assert open_point_outside(body, mu, 1) is False
             assert calls <= dim
+
+
+class TestWalkerLeavesNoCycle:
+    """A walk frees everything it built by reference counting alone, so
+    counts and searches leave no work for the cyclic collector."""
+
+    LATTICE = Lattice(Matrix.from_rows([[1, 1, 0], [0, 2, 1], [0, 0, 1]]))
+
+    @pytest.mark.parametrize("make_body", [
+        lambda: HPolytope(Matrix.from_rows(
+            [[1, 1, 0], [1, -1, 2], [0, 1, 3], [F(1, 2), 0, 1]])),
+        lambda: Ellipsoid(Matrix.from_rows(
+            [[2, 1, 0], [1, 3, 1], [0, 1, F(5, 2)]]))],
+        ids=["hpolytope", "ellipsoid"])
+    def test_count_and_minima_free_by_refcount(self, make_body):
+        body = make_body()
+        gc.collect()
+        gc.disable()
+        try:
+            count_points(body, self.LATTICE, GaugeValue.sqrt_of(2),
+                         strict=True)
+            after_count = gc.collect()
+            successive_minima(body, self.LATTICE)
+            after_minima = gc.collect()
+        finally:
+            gc.enable()
+        assert (after_count, after_minima) == (0, 0)

@@ -47,6 +47,21 @@ def _prune_rows_reference(rows):
             for key, ratio in best.items()]
 
 
+def _top_rows_reference(body):
+    """The rows ``+-a_i . x <= 1`` of the rational normals, each scaled by
+    a positive rational to primitive integers with ``Fraction`` arithmetic,
+    then pruned of parallel rows (the definition)."""
+    rows = []
+    for normal in body.normals.entries:
+        lcm = math.lcm(*(c.denominator for c in normal))
+        ints = [int(c * lcm) for c in normal]
+        g = math.gcd(*ints, lcm)
+        coeffs = tuple(c // g for c in ints)
+        rows.append((coeffs, lcm // g))
+        rows.append((tuple(-c for c in coeffs), lcm // g))
+    return tuple(_prune_rows_reference(rows))
+
+
 def _eliminate_reference(rows, width):
     """Fourier-Motzkin elimination of variable ``width - 1`` with every
     combination kept, pruned only of parallel rows (the definition)."""
@@ -123,6 +138,28 @@ class TestPolytopeViews:
         for level, (got, want) in enumerate(zip(view._cascade,
                                                 rebuilt._cascade)):
             assert got == want, f"cascade level {level} differs"
+
+    @given(dims.flatmap(lambda d: st.tuples(rational_polytopes(d),
+                                            bases(d))))
+    def test_top_rows_match_fraction_reference(self, case):
+        # A view's rows are read from its integer normals too.
+        body, u = case
+        view = body.preimage(u)
+        assert body._top_rows == _top_rows_reference(body)
+        assert view._top_rows == _top_rows_reference(view)
+
+    @given(dims.flatmap(boxes))
+    def test_box_polytope_matches_its_constructor(self, box):
+        # Box.polytope builds only the integer normals; the polytope the
+        # constructor builds from the rational normals e_i / w_i must be
+        # the same body with the same rows and cascade.
+        got = box.polytope()
+        want = HPolytope(Matrix.diagonal([1 / w for w in box.halfwidths]))
+        assert vars(got).keys() == {"_integer_normals"}
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert got._top_rows == want._top_rows == _top_rows_reference(want)
+        assert got._cascade == want._cascade
 
     @given(dims.flatmap(lambda d: st.tuples(rational_polytopes(d),
                                             shear_unimodulars(d),
@@ -336,11 +373,13 @@ class TestTransforms:
                 body.preimage(Matrix.identity(3))
 
     def test_non_unimodular_basis_takes_integer_path(self):
-        # Rows c.x <= r become (c Z).y <= r D, reduced to primitive rows;
-        # the form (M, s) becomes (Z^T M Z, s D^2) over the common gcd.
+        # The normals (N, E) become (N Z, E D) and the view stores nothing
+        # else: its rows are read from them, reduced to primitive rows.  The
+        # form (M, s) becomes (Z^T M Z, s D^2) over the common gcd.
         a = Matrix.diagonal([2, F(1, 2)])
         pre = self.SQUARE.preimage(a)
-        assert vars(pre)["_top_rows"] == (
+        assert "_top_rows" not in vars(pre)
+        assert pre._top_rows == (
             ((2, 0), 1), ((-2, 0), 1), ((0, 1), 2), ((0, -1), 2),
             ((4, 1), 2), ((-4, -1), 2))
         assert pre == HPolytope(self.SQUARE.normals @ a)
