@@ -23,7 +23,7 @@ from .harness import (CampaignSummary, GenerationError, InstanceSpec,
                       verify_spec)
 from .lattices import Lattice, Sublattice
 from .matrices import (DimensionMismatch, Matrix, SingularMatrixError,
-                       align_witnesses, hnf_left)
+                       align_witnesses)
 from .minima import (CanonicalInstance, MinimaResult, canonicalize,
                      successive_minima)
 
@@ -37,7 +37,7 @@ __all__ = [
     "conjecture_rhs", "contains", "corner_gauge_bound", "count_oracle",
     "count_points", "divisor_chain", "enclosing_radius", "enumerate_points",
     "first_bound_derivation", "first_bound_rhs", "floor_term", "floor_terms",
-    "generate", "hnf_left", "kernel_check", "lemma_bound", "main_bound_rhs",
+    "generate", "kernel_check", "lemma_bound", "main_bound_rhs",
     "minkowski_first_check", "minkowski_second_check", "oracle_campaign",
     "plan_instances", "riemann_slack", "successive_minima", "summarize",
     "verify", "verify_spec", "volume_estimate",

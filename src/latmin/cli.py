@@ -283,12 +283,6 @@ def _emit(doc: Any, out: TextIO) -> None:
     out.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def _gauge_csv(g: GaugeValue) -> str:
-    if g.is_sqrt:
-        return f"sqrt({format_rational(g.value)})"
-    return format_rational(g.value)
-
-
 def report_csv_row(report: VerificationReport) -> list[str]:
     assert report.spec is not None
     return [str(report.spec.seed), str(report.dim), report.body_kind,

@@ -84,10 +84,6 @@ class SplitMix64:
     def int_in(self, lo: int, hi: int) -> int:
         return lo + self.below(hi - lo + 1)
 
-    def nonzero_int(self, bound: int) -> int:
-        v = self.int_in(1, bound)
-        return v if self.below(2) == 0 else -v
-
     def fraction(self, bound: int) -> Fraction:
         """Positive rational with numerator and denominator in ``[1, bound]``."""
         return Fraction(self.int_in(1, bound), self.int_in(1, bound))

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import DimensionMismatch, Matrix, SingularMatrixError, hnf_left
-
-IntVector = tuple[int, ...]
+from .matrices import (DimensionMismatch, IntVector, Matrix,
+                       SingularMatrixError, align_witnesses)
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,9 @@ class Sublattice:
     def _column_triangular_diagonal(self) -> tuple[int, ...]:
         # Column-operation normal form: coeff @ V lower triangular.  Its
         # diagonal gives the mixed-radix digit bounds for coset reps.
-        _, h = hnf_left(self.coeff.transpose())
-        return tuple(int(h[i, i]) for i in range(self.dim))
+        aligned, _ = align_witnesses(
+            [[int(e) for e in row] for row in self.coeff.entries])
+        return tuple(h[i] for i, h in enumerate(aligned))
 
     def residue_representatives(self) -> tuple[IntVector, ...]:
         """One representative per coset of the sublattice in its parent.
@@ -105,7 +105,7 @@ class Sublattice:
 
     def contains_parent_vector(self, v: Sequence[int]) -> bool:
         """Is the parent-lattice point with coords ``v`` in the sublattice?"""
-        coords = self.coeff.solve(v)
+        coords = self.coeff.inverse().apply(v)
         return all(c.denominator == 1 for c in coords)
 
     def same_residue(self, a: Sequence[int], b: Sequence[int]) -> bool:

@@ -1,4 +1,4 @@
-"""Exact rational matrices and integer normal forms.
+"""Exact rational matrices and the integer Hermite normal form.
 
 Every entry is a :class:`fractions.Fraction`; no routine in this module ever
 touches floating point.  The arithmetic runs on integers: a rational matrix
@@ -9,15 +9,13 @@ and inverses come from fraction-free (Bareiss 1968) elimination of ``Z``,
 whose every division is exact.  The sizes involved are tiny (dimension
 <= 6 in practice), so the algorithms favour clarity over asymptotics.
 
-Two less common helpers live here because the rest of the package needs them:
-
-* :func:`hnf_left` -- given a nonsingular integer matrix ``z``, produce a
-  unimodular ``u`` with ``u @ z`` upper triangular, positive diagonal, and
-  each above-diagonal entry reduced modulo the diagonal entry of its column.
-* :func:`align_witnesses` -- given independent integer vectors ``z1..zd``,
-  produce a unimodular ``u`` such that ``u @ zi`` has zeros below
-  coordinate ``i``.  This is the change of basis that lines a witness
-  family up with the standard flag.
+One integer helper lives here because the rest of the package needs it:
+:func:`align_witnesses` takes ``k <= d`` independent integer vectors
+``w_1..w_k`` and returns, as integer tuples, the Hermite columns
+``u @ w_i`` of a unimodular ``u`` (zero below entry ``i``) together with the
+rows of ``u^-1``.  It is the change of basis that lines a witness family up
+with the standard flag, and its square case is the Hermite normal form that
+gives a sublattice's coset digits.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
 class DimensionMismatch(ValueError):
@@ -41,10 +40,6 @@ class SingularMatrixError(ValueError):
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def as_vector(entries: Iterable[Scalar]) -> Vector:
-    return tuple(_frac(e) for e in entries)
 
 
 def _lcd_form(entries: Sequence[Sequence[Scalar]],
@@ -219,30 +214,6 @@ class Matrix:
                 break
         return rank
 
-    def solve(self, rhs: Sequence[Scalar]) -> Vector:
-        """Solve ``self @ x == rhs`` exactly (square, nonsingular)."""
-        if not self.is_square:
-            raise DimensionMismatch("solve needs a square matrix")
-        n = self.nrows
-        if len(rhs) != n:
-            raise DimensionMismatch("right-hand side has wrong length")
-        work = [list(row) + [_frac(rhs[i])] for i, row in
-                enumerate(self.entries)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if work[r][col] != 0),
-                             None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            work[col] = [e / pivot for e in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b
-                               for a, b in zip(work[r], work[col])]
-        return tuple(work[r][n] for r in range(n))
-
     def inverse(self) -> "Matrix":
         """``D Z^-1`` for ``self = Z / D``, by fraction-free Gauss-Jordan
         elimination of ``[Z | I]``: it ends at ``[p I | p Z^-1]`` with
@@ -272,50 +243,52 @@ class Matrix:
                             for row in work))
 
 
-def hnf_left(z: Matrix) -> tuple[Matrix, Matrix]:
-    """Triangularize an integer matrix by a left unimodular factor.
+def align_witnesses(vectors: Sequence[Sequence[int]],
+                    ) -> tuple[tuple[IntVector, ...], tuple[IntVector, ...]]:
+    """Hermite normal form of independent integer vectors, with ``u^-1``.
 
     Args:
-        z: square, nonsingular matrix with integer entries.
+        vectors: ``k <= d`` linearly independent integer vectors
+            ``w_1..w_k`` of length ``d``.
 
     Returns:
-        A pair ``(u, h)`` with ``u`` unimodular (integer, ``|det u| == 1``)
-        and ``h == u @ z`` upper triangular such that every diagonal entry is
-        positive and each above-diagonal entry ``h[i][j]`` (``i < j``)
-        satisfies ``0 <= h[i][j] < h[j][j]``.
+        A pair ``(aligned, inverse)``.  ``aligned[i] == u @ w_i`` for a
+        unimodular ``u``: it is zero below entry ``i``, positive at ``i``,
+        and ``0 <= aligned[i][j] < aligned[i][i]`` for ``j < i``.
+        ``inverse`` holds the integer rows of ``u^-1``.
 
     Raises:
-        SingularMatrixError: if ``z`` is singular.
-        ValueError: if ``z`` has a non-integer entry.
-    """
-    if not z.is_square:
-        raise DimensionMismatch("normal form needs a square matrix")
-    if not z.is_integer():
-        raise ValueError("normal form needs integer entries")
-    n = z.nrows
-    h = [[int(e) for e in row] for row in z.entries]
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
+        SingularMatrixError: if the vectors are linearly dependent.
 
-    def swap(a: int, b: int) -> None:
-        h[a], h[b] = h[b], h[a]
-        u[a], u[b] = u[b], u[a]
+    ``u`` is the product of Euclidean row operations on the matrix whose
+    columns are the ``w_i`` (pivot on the smallest nonzero entry, Cohen
+    1993, section 2.4).  ``u^-1`` is built alongside by applying the inverse
+    operations to the columns of an identity, kept transposed so that they
+    are row operations too, which keeps it integer.
+    """
+    dim = len(vectors[0])
+    h = [[w[r] for w in vectors] for r in range(dim)]
+    inv_t = [[int(i == j) for j in range(dim)] for i in range(dim)]
 
     def submul(dst: int, src: int, q: int) -> None:
+        # Row ``dst`` of ``u`` loses ``q`` times row ``src``, so column
+        # ``src`` of ``u^-1`` gains ``q`` times column ``dst``.
         if q:
             h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
-            u[dst] = [a - q * b for a, b in zip(u[dst], u[src])]
+            inv_t[src] = [a + q * b for a, b in zip(inv_t[src], inv_t[dst])]
 
-    for col in range(n):
+    for col in range(len(vectors)):
         # Euclidean reduction: shrink entries below the pivot to zero.
         while True:
-            live = [r for r in range(col, n) if h[r][col] != 0]
+            live = [r for r in range(col, dim) if h[r][col]]
             if not live:
-                raise SingularMatrixError("matrix is singular")
+                raise SingularMatrixError("vectors are linearly dependent")
             pivot_row = min(live, key=lambda r: abs(h[r][col]))
             if pivot_row != col:
-                swap(col, pivot_row)
+                h[col], h[pivot_row] = h[pivot_row], h[col]
+                inv_t[col], inv_t[pivot_row] = inv_t[pivot_row], inv_t[col]
             done = True
-            for r in range(col + 1, n):
+            for r in range(col + 1, dim):
                 if h[r][col]:
                     submul(r, col, h[r][col] // h[col][col])
                     if h[r][col]:
@@ -324,26 +297,8 @@ def hnf_left(z: Matrix) -> tuple[Matrix, Matrix]:
                 break
         if h[col][col] < 0:
             h[col] = [-e for e in h[col]]
-            u[col] = [-e for e in u[col]]
+            inv_t[col] = [-e for e in inv_t[col]]
         # Reduce the entries above the pivot into [0, pivot).
         for r in range(col):
             submul(r, col, h[r][col] // h[col][col])
-    return Matrix.from_rows(u), Matrix.from_rows(h)
-
-
-def align_witnesses(vectors: Sequence[Sequence[int]]) -> Matrix:
-    """Unimodular change of basis aligning vectors with the standard flag.
-
-    Args:
-        vectors: ``d`` linearly independent integer vectors ``z1..zd``.
-
-    Returns:
-        A unimodular matrix ``u`` such that ``u @ zi`` has zeros in all
-        coordinates below position ``i`` (so ``u @ zi`` lies in the span of
-        the first ``i`` standard basis vectors).
-    """
-    z = Matrix.from_columns([list(v) for v in vectors])
-    if z.det() == 0:
-        raise SingularMatrixError("witness vectors are dependent")
-    u, _ = hnf_left(z)
-    return u
+    return tuple(zip(*h)), tuple(zip(*inv_t))

@@ -70,48 +70,6 @@ class CanonicalInstance:
     minima: MinimaResult
 
 
-def _flag_unimodular(witnesses: list[IntPoint],
-                     dim: int) -> tuple[tuple[int, ...], ...]:
-    """Integer rows of the inverse ``A^-1`` of a unimodular ``A`` sending
-    ``span(witnesses)`` into the span of the *last* ``len(witnesses)``
-    coordinates.
-
-    A point ``x`` lies in the witness span iff the first
-    ``dim - len(witnesses)`` entries of ``A x`` all vanish, which turns the
-    span into a single skippable prefix of the coordinate search over
-    ``y = A x``, i.e. ``x = A^-1 y``.  ``A`` is the product of the integer
-    row operations that triangularize the witness columns, rows reversed;
-    ``A^-1`` is built alongside by applying the inverse operations to the
-    columns of an identity (kept transposed, so they are row operations
-    too), which keeps it integer.
-    """
-    m = [[w[r] for w in witnesses] for r in range(dim)]
-    inv_t = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    for col in range(len(witnesses)):
-        while True:
-            live = [r for r in range(col, dim) if m[r][col]]
-            if not live:
-                raise AssertionError("witnesses are linearly dependent")
-            piv = min(live, key=lambda r: abs(m[r][col]))
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                inv_t[col], inv_t[piv] = inv_t[piv], inv_t[col]
-            pv = m[col][col]
-            done = True
-            for r in range(col + 1, dim):
-                q = m[r][col] // pv
-                if q:
-                    m[r] = [a - q * b for a, b in zip(m[r], m[col])]
-                    inv_t[col] = [a + q * b
-                                  for a, b in zip(inv_t[col], inv_t[r])]
-                if m[r][col]:
-                    done = False
-            if done:
-                break
-    inv_t.reverse()
-    return tuple(zip(*inv_t))
-
-
 def _box_minima(zbody: Box) -> MinimaResult:
     """Closed form for axis boxes over the standard lattice.
 
@@ -136,9 +94,9 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
     outside it within the dilation ``mu``, doubling ``mu`` until one
     appears.  The dilation never shrinks between stages because the minima
     are nondecreasing.  Each stage's view is the body pulled back through
-    the integer unimodular inverse of the alignment, which ``preimage``
-    derives by integer congruence; it is built once per stage, not once
-    per doubling.
+    the integer rows of ``u^-1`` that :func:`align_witnesses` returns for
+    the witnesses so far, columns reversed; ``preimage`` derives it by
+    integer congruence, once per stage, not once per doubling.
     """
     dim = body.dim
     zbody = _standard_body(body, lattice)
@@ -160,9 +118,11 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
         minima.append(gauge)
         witnesses.append(witness)
         if len(witnesses) < dim:
-            # The search receives the integer inverse of the alignment to
-            # express its preference directly on the original coordinates.
-            rows = _flag_unimodular(witnesses, dim)
+            # Reversing the columns of ``u^-1`` reverses the rows of ``u``,
+            # which puts the witness span on the last coordinates.  The
+            # search receives these rows to express its preference directly
+            # on the original coordinates.
+            rows = tuple(r[::-1] for r in align_witnesses(witnesses)[1])
             view = zbody.preimage(rows)
     return MinimaResult(tuple(minima), tuple(witnesses))
 
@@ -173,37 +133,12 @@ def align(zbody: SymmetricBody, witnesses: tuple[IntPoint, ...],
 
     ``witnesses`` are ``d`` independent integer points in the coordinates of
     ``zbody``.  With the unimodular ``u`` of :func:`align_witnesses`, returns
-    the pull-back of ``zbody`` through ``u^-1`` and the points ``u w``, so
-    witness ``i`` lies in the span of the first ``i`` standard basis vectors
-    and every gauge (hence every count and minimum over the standard
-    lattice) is unchanged.  ``u^-1`` is built in integers by
-    :func:`_flag_inverse`."""
-    u = [[int(e) for e in row] for row in align_witnesses(witnesses).entries]
-    aligned_wits = tuple(tuple(sum(a * b for a, b in zip(row, w)) for row in u)
-                         for w in witnesses)
-    return (zbody.preimage(_flag_inverse(witnesses, aligned_wits)),
-            aligned_wits)
-
-
-def _flag_inverse(witnesses: tuple[IntPoint, ...],
-                  aligned: tuple[IntPoint, ...]) -> tuple[IntPoint, ...]:
-    """Integer rows of ``u^-1`` for the unimodular ``u`` with
-    ``u w_i = h_i``, where ``w_i`` are ``witnesses`` and ``h_i`` the
-    ``aligned`` points, zero below entry ``i``.
-
-    The ``h_i`` are the columns of the upper triangular ``H = u W``, so
-    ``u^-1 = W H^-1``: row ``r`` of it solves ``x H = (w_1[r], ..,
-    w_d[r])`` by forward substitution, ``x_j = (w_j[r] - sum_{k<j} x_k
-    h_j[k]) / h_j[j]``.  Every division is exact because ``u^-1`` is an
-    integer matrix."""
-    rows = []
-    for r in range(len(witnesses)):
-        x: list[int] = []
-        for w, h in zip(witnesses, aligned):
-            x.append((w[r] - sum(a * b for a, b in zip(x, h)))
-                     // h[len(x)])
-        rows.append(tuple(x))
-    return tuple(rows)
+    the pull-back of ``zbody`` through the integer rows of ``u^-1`` and the
+    Hermite columns ``u w``, so witness ``i`` lies in the span of the first
+    ``i`` standard basis vectors and every gauge (hence every count and
+    minimum over the standard lattice) is unchanged."""
+    aligned, inverse = align_witnesses(witnesses)
+    return zbody.preimage(inverse), aligned
 
 
 def _certify_flag(body: SymmetricBody, minima: tuple[GaugeValue, ...],

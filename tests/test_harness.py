@@ -36,7 +36,6 @@ class TestSplitMix64:
         for _ in range(200):
             assert 0 <= rng.below(7) < 7
             assert 3 <= rng.int_in(3, 9) <= 9
-            assert 1 <= abs(rng.nonzero_int(5)) <= 5
             f = rng.fraction(4)
             assert 0 < f <= 4 and f.denominator <= 4
         with pytest.raises(ValueError):

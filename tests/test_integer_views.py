@@ -19,7 +19,8 @@ from latmin.enumeration import (_chain_levels, _dilate_interval,
                                 _poly_interval, _poly_key_rows, _poly_run_key,
                                 integer_gauge_key)
 from latmin.harness import InstanceSpec, generate
-from latmin.minima import _flag_unimodular, successive_minima
+from latmin.matrices import align_witnesses
+from latmin.minima import successive_minima
 
 from strategies import (boxes, ellipsoids, hpolytopes, int_matrices,
                         int_points, lattices, positive_fractions,
@@ -503,8 +504,10 @@ class TestFlagUnimodular:
         w = Matrix.from_columns(witnesses)
         if w.rank() < k:
             return
-        back = Matrix.from_rows(_flag_unimodular(witnesses, dim))
-        assert _int_det(_flag_unimodular(witnesses, dim)) in (1, -1)
-        forward = back.inverse()
+        # The stage rows of ``successive_minima``: ``u^-1``, columns
+        # reversed, so the witness span lands on the last coordinates.
+        rows = tuple(r[::-1] for r in align_witnesses(witnesses)[1])
+        assert _int_det(rows) in (1, -1)
+        forward = Matrix.from_rows(rows).inverse()
         for p in witnesses:
             assert not any(forward.apply(p)[:dim - k])

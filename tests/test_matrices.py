@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from latmin import (DimensionMismatch, Matrix, SingularMatrixError,
-                    align_witnesses, hnf_left)
+                    align_witnesses)
 
-from strategies import int_matrices, nonsingular_int_matrices, rationals
+from strategies import (int_matrices, int_points, nonsingular_int_matrices,
+                        rationals)
 
 
 def _det_by_permutations(m: Matrix) -> Fraction:
@@ -159,17 +160,6 @@ class TestElimination:
         assert Matrix.from_rows([[1, 0], [0, 1], [1, 1]]).rank() == 2
         assert Matrix.from_rows([[0, 0]]).rank() == 0
 
-    @given(nonsingular_int_matrices(3), st.lists(
-        st.integers(-5, 5), min_size=3, max_size=3))
-    def test_solve_round_trip(self, m, x):
-        assert m.solve(m.apply(x)) == tuple(Fraction(v) for v in x)
-
-    def test_solve_errors(self):
-        with pytest.raises(SingularMatrixError):
-            Matrix.from_rows([[1, 2], [2, 4]]).solve((1, 0))
-        with pytest.raises(DimensionMismatch):
-            Matrix.identity(2).solve((1,))
-
     @given(nonsingular_int_matrices(3))
     def test_inverse(self, m):
         assert m @ m.inverse() == Matrix.identity(3)
@@ -231,59 +221,49 @@ class TestIntegerKernels:
         assert wide.rank() == 1
 
 
-class TestNormalForm:
+class TestAlignWitnesses:
+    """``align_witnesses`` is the Hermite normal form of the matrix whose
+    columns are the vectors, returned as integer columns with the integer
+    rows of ``u^-1``."""
+
+    @staticmethod
+    def _assert_hermite(witnesses):
+        aligned, inverse = align_witnesses(witnesses)
+        assert len(aligned) == len(witnesses)
+        assert len(inverse) == len(witnesses[0])
+        assert all(isinstance(e, int) for rows in (aligned, inverse)
+                   for row in rows for e in row)
+        assert abs(_det_by_permutations(Matrix.from_rows(inverse))) == 1
+        for i, (w, h) in enumerate(zip(witnesses, aligned)):
+            assert tuple(sum(a * b for a, b in zip(row, h))
+                         for row in inverse) == tuple(w)
+            assert h[i] > 0
+            assert not any(h[i + 1:])
+            assert all(0 <= h[j] < h[i] for j in range(i))
+
     def test_one_by_one(self):
-        u, h = hnf_left(Matrix.from_rows([[-3]]))
-        assert u == Matrix.from_rows([[-1]])
-        assert h == Matrix.from_rows([[3]])
+        assert align_witnesses([(-3,)]) == (((3,),), ((-1,),))
 
-    def test_swap(self):
-        u, h = hnf_left(Matrix.from_rows([[0, 1], [1, 0]]))
-        assert u == Matrix.from_rows([[0, 1], [1, 0]])
-        assert h == Matrix.identity(2)
+    def test_swapped_unit_vectors(self):
+        assert align_witnesses([(0, 1), (1, 0)]) == (
+            ((1, 0), (0, 1)), ((0, 1), (1, 0)))
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            hnf_left(Matrix.from_rows([[Fraction(1, 2)]]))
-        with pytest.raises(SingularMatrixError):
-            hnf_left(Matrix.from_rows([[1, 1], [1, 1]]))
-        with pytest.raises(DimensionMismatch):
-            hnf_left(Matrix.from_rows([[1, 2]]))
+    def test_dependent_vectors_rejected(self):
+        for vectors in ([(1, 2), (2, 4)], [(1, 1), (1, 1)], [(0, 0, 0)],
+                        [(1, 1, 0), (0, 1, 1), (1, 2, 1)], [(1,), (2,)]):
+            with pytest.raises(SingularMatrixError):
+                align_witnesses(vectors)
 
     @given(st.integers(1, 4).flatmap(
         lambda d: nonsingular_int_matrices(d, 5)))
-    def test_postconditions(self, z):
-        u, h = hnf_left(z)
-        n = z.nrows
-        assert u.is_integer()
-        assert abs(u.det()) == 1
-        assert u @ z == h
-        for i in range(n):
-            assert h[i, i] > 0
-            for j in range(n):
-                if j < i:
-                    assert h[i, j] == 0
-                elif j > i:
-                    assert 0 <= h[i, j] < h[j, j]
-
-
-class TestAlignWitnesses:
-    def test_swapped_unit_vectors(self):
-        u = align_witnesses([(0, 1), (1, 0)])
-        assert u == Matrix.from_rows([[0, 1], [1, 0]])
-
-    def test_dependent_vectors_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            align_witnesses([(1, 2), (2, 4)])
-
-    @given(st.integers(1, 4).flatmap(
-        lambda d: nonsingular_int_matrices(d, 4)))
     def test_flag_alignment(self, z):
-        witnesses = [tuple(int(e) for e in z.column(j))
-                     for j in range(z.ncols)]
-        u = align_witnesses(witnesses)
-        assert u.is_integer()
-        assert abs(u.det()) == 1
-        for i, w in enumerate(witnesses):
-            image = u.apply(w)
-            assert all(image[j] == 0 for j in range(i + 1, len(w)))
+        self._assert_hermite([tuple(int(e) for e in z.column(j))
+                              for j in range(z.ncols)])
+
+    @given(st.integers(2, 5).flatmap(
+        lambda d: st.integers(1, d - 1).flatmap(
+            lambda k: st.lists(int_points(d, 3), min_size=k, max_size=k))))
+    def test_partial_flag(self, witnesses):
+        # k < d vectors: the stage alignment of the minima search.
+        assume(Matrix.from_columns(witnesses).rank() == len(witnesses))
+        self._assert_hermite(witnesses)

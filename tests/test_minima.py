@@ -11,7 +11,7 @@ from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
                     MinimaResult, canonicalize, count_points,
                     enumerate_points, successive_minima)
 from latmin.matrices import align_witnesses
-from latmin.minima import _certify_flag, _flag_inverse, align
+from latmin.minima import _certify_flag, align
 
 from strategies import bodies, instances, nonsingular_int_matrices
 
@@ -179,18 +179,16 @@ class TestAlign:
         body, w = case
         witnesses = tuple(tuple(int(e) for e in col)
                           for col in zip(*w.entries))
-        u = [[int(e) for e in row]
-             for row in align_witnesses(witnesses).entries]
+        hermite, inv = align_witnesses(witnesses)
         aligned_body, aligned = align(body, witnesses)
-        inv = _flag_inverse(witnesses, aligned)
-        dim = body.dim
+        assert aligned == hermite
         assert all(isinstance(e, int) for row in inv for e in row)
-        assert [[sum(u[i][k] * inv[k][j] for k in range(dim))
-                 for j in range(dim)] for i in range(dim)] == \
-            [[int(i == j) for j in range(dim)] for i in range(dim)]
-        assert aligned == tuple(tuple(sum(a * b for a, b in zip(row, p))
-                                      for row in u) for p in witnesses)
-        assert aligned_body == body.preimage(Matrix.from_rows(u).inverse())
+        u = Matrix.from_rows(inv).inverse()
+        assert u.is_integer()
+        for i, p in enumerate(witnesses):
+            assert u.apply(p) == aligned[i]
+            assert not any(aligned[i][i + 1:])
+        assert aligned_body == body.preimage(u.inverse())
 
 
 class TestFlagCertificate:
