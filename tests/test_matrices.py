@@ -221,10 +221,47 @@ class TestIntegerKernels:
         assert wide.rank() == 1
 
 
+class TestNormalForm:
+    """On ``d`` independent vectors, ``align_witnesses`` is the Hermite
+    normal form ``H = u Z`` of the square matrix ``Z`` whose columns are
+    the vectors; here it is checked through the rational matrix layer."""
+
+    def test_swap(self):
+        # A cyclic permutation of the unit vectors: u is its inverse.
+        assert align_witnesses([(0, 0, 1), (1, 0, 0), (0, 1, 0)]) == (
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+            ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+
+    def test_input_validation(self):
+        # A zero vector, or more vectors than coordinates, has no pivot.
+        for vectors in ([(0, 0, 0)], [(1,), (2,)],
+                        [(1, 0), (0, 1), (1, 1)]):
+            with pytest.raises(SingularMatrixError):
+                align_witnesses(vectors)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda d: nonsingular_int_matrices(d, 5)))
+    def test_postconditions(self, z):
+        n = z.nrows
+        aligned, inverse = align_witnesses(
+            [tuple(int(e) for e in z.column(j)) for j in range(n)])
+        h = Matrix.from_columns(aligned)
+        u = Matrix.from_rows(inverse).inverse()
+        assert u.is_integer()
+        assert abs(u.det()) == 1
+        assert u @ z == h
+        for i in range(n):
+            assert h[i, i] > 0
+            for j in range(n):
+                if j < i:
+                    assert h[i, j] == 0
+                elif j > i:
+                    assert 0 <= h[i, j] < h[j, j]
+
+
 class TestAlignWitnesses:
-    """``align_witnesses`` is the Hermite normal form of the matrix whose
-    columns are the vectors, returned as integer columns with the integer
-    rows of ``u^-1``."""
+    """``align_witnesses`` returns the Hermite columns of the vectors with
+    the integer rows of ``u^-1``, also for fewer vectors than coordinates."""
 
     @staticmethod
     def _assert_hermite(witnesses):
@@ -249,8 +286,8 @@ class TestAlignWitnesses:
             ((1, 0), (0, 1)), ((0, 1), (1, 0)))
 
     def test_dependent_vectors_rejected(self):
-        for vectors in ([(1, 2), (2, 4)], [(1, 1), (1, 1)], [(0, 0, 0)],
-                        [(1, 1, 0), (0, 1, 1), (1, 2, 1)], [(1,), (2,)]):
+        for vectors in ([(1, 2), (2, 4)], [(1, 1), (1, 1)],
+                        [(1, 1, 0), (0, 1, 1), (1, 2, 1)]):
             with pytest.raises(SingularMatrixError):
                 align_witnesses(vectors)
 
