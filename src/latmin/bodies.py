@@ -410,7 +410,10 @@ class Ellipsoid:
             raise InvalidBodyError("gram matrix must be square")
         if q != q.transpose():
             raise InvalidBodyError("gram matrix must be symmetric")
-        _schur_chain(_lcd_form(q.entries))  # Sylvester's criterion, uncached
+        # Sylvester's criterion; the chain fills both cached properties.
+        chain = _schur_chain(_lcd_form(q.entries))
+        self.__dict__["_integer_gram"] = chain[-1]
+        self.__dict__["_integer_forms"] = chain
 
     def __getattr__(self, name: str) -> Matrix:
         return _rational_field(self, name, "gram", "_integer_gram")

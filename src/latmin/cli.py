@@ -19,7 +19,8 @@ Wire format notes
 Exit codes
     0 success / all asserted checks pass
     1 an asserted check failed (or the oracle cross-check disagreed)
-    2 input error (malformed file, bad flag value)
+    2 input error (malformed, non-UTF-8 or too deeply nested file, bad
+      flag value)
     3 invariant violation (rank-deficient normals, singular basis, ...)
     4 bug alarm (a kernel check failed, contradicting the proof machinery)
       or internal error (a failed self-check or any other unexpected
@@ -194,15 +195,20 @@ def parse_instance(doc: Any) -> tuple[SymmetricBody, Lattice]:
 
 
 def load_instance(path: str | None) -> tuple[SymmetricBody, Lattice]:
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path is None or path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     return parse_instance(doc)
 
 

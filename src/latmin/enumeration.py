@@ -16,17 +16,17 @@ skip the walk: their counts and point lists are products of per-axis ranges.
 
 Every walk of a dilate runs at one integer key.  Since ``mu^2 = p/q`` is
 rational, the integer points of ``mu*K``, or of its interior when strict,
-are those whose integer gauge key (:func:`integer_gauge_key`) is at most
-one integer ``K``: ``floor(mu lcm)``, or ``ceil(mu lcm) - 1`` when strict,
-for a polytope whose rows share the bound ``lcm`` (computed with
-``math.isqrt``, so rational and square-root dilations alike); ``floor(mu^2
-s)``, or ``ceil(mu^2 s) - 1``, for an ellipsoid with full form ``(M, s)``.
-The levels come from the same builders the search uses, ``build(K)`` of
-:func:`_poly_levels` (the Fourier-Motzkin cascade) and of
-:func:`_chain_levels` (the Schur chain), so every level is a projection of
-that key set.  The key set of a strict walk holds no point of the boundary,
-so the walk does not descend through every prefix of a tied boundary face
-only to find each last interval empty.
+are those whose integer gauge key is at most one integer ``K``, the
+``key_bound(p, q, strict)`` of the body's walk provider: ``floor(mu lcm)``,
+or ``ceil(mu lcm) - 1`` when strict, for a polytope whose rows share the
+bound ``lcm`` (computed with ``math.isqrt``, so rational and square-root
+dilations alike); ``floor(mu^2 s)``, or ``ceil(mu^2 s) - 1``, for an
+ellipsoid with full form ``(M, s)``.  The providers are the search's own,
+:func:`_poly_levels` (the Fourier-Motzkin cascade) and
+:func:`_chain_levels` (the Schur chain), so every level that ``build(K)``
+sets is a projection of that key set.  The key set of a strict walk holds
+no point of the boundary, so the walk does not descend through every
+prefix of a tied boundary face only to find each last interval empty.
 
 The ellipsoid levels are walked incrementally: each level keeps the
 coefficients of its quadratic in the coordinate being fixed and derives
@@ -182,11 +182,11 @@ def _poly_interval(rows, prefix: IntPoint, k: int) -> Bounds:
     return lo, hi
 
 
-def _poly_levels(view: HPolytope, key_rows: list[tuple[IntPoint, int]],
-                 lcm: int):
-    """``(build, interval, run_key)``: the walker's levels for the points of
-    ``view`` with integer key at most ``K``, for the key rows ``(key_rows,
-    lcm)`` of :func:`_poly_key_rows`, which the caller computes once.
+def _poly_levels(view: HPolytope):
+    """``(build, interval, run_key, key_bound, to_gauge)``: the walker's
+    levels for the points of ``view`` with integer key at most ``K``, and
+    the key rule, for the key rows ``(key_rows, lcm)`` of
+    :func:`_poly_key_rows`, under which ``gauge(x) = key(x) / lcm``.
 
     A point has key at most ``K`` iff it satisfies every top row ``c.x <=
     r`` scaled to ``lcm c.x <= K r``, and the cascade rows, projections of
@@ -195,7 +195,13 @@ def _poly_levels(view: HPolytope, key_rows: list[tuple[IntPoint, int]],
     level ``k`` bounds the projection of the key set on the first ``k + 1``
     coordinates, and the last level is the key set itself.  ``interval``
     reads the levels of the last build, so a search may rebuild between
-    calls."""
+    calls.
+
+    ``key_bound(p, q, strict)`` is the ``K`` of the dilate ``mu^2 = p/q``:
+    ``key <= mu lcm`` gives ``K = isqrt(lcm^2 p // q)``, one less when
+    strict and the root is attained.  ``to_gauge(k)`` is the gauge ``k /
+    lcm`` of key ``k``."""
+    key_rows, lcm = _poly_key_rows(view)
     levels: list[list[tuple[IntPoint, int]]] = []
 
     def build(key: int) -> None:
@@ -205,7 +211,14 @@ def _poly_levels(view: HPolytope, key_rows: list[tuple[IntPoint, int]],
     def interval(k: int, prefix: IntPoint) -> Bounds:
         return _poly_interval(levels[k], prefix, k)
 
-    return build, interval, functools.partial(_poly_run_key, key_rows)
+    def key_bound(p: int, q: int, strict: bool) -> int:
+        return _isqrt_bound(lcm * lcm * p, q, strict)
+
+    def to_gauge(key: int) -> GaugeValue:
+        return GaugeValue.rational(Fraction(key, lcm))
+
+    return (build, interval, functools.partial(_poly_run_key, key_rows),
+            key_bound, to_gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +226,9 @@ def _poly_levels(view: HPolytope, key_rows: list[tuple[IntPoint, int]],
 
 
 def _chain_levels(body: Ellipsoid):
-    """``(build, interval, run_key)``: the walker's levels for the points of
-    ``body`` with integer key ``x M x <= K``, ``(M, s)`` the full form.
+    """``(build, interval, run_key, key_bound, to_gauge)``: the walker's
+    levels for the points of ``body`` with integer key ``x M x <= K``,
+    ``(M, s)`` the full form, and the key rule.
 
     The Schur chain :attr:`Ellipsoid._integer_forms` holds ``(M_k, s_k)``
     on the first ``k + 1`` coordinates, and ``x M_k x <= s_k`` is the
@@ -238,7 +252,12 @@ def _chain_levels(body: Ellipsoid):
     Q``.
 
     ``run_key(prefix)`` is ``t -> x M x`` on the last level, read from its
-    state, so the last call there must have been at ``prefix``."""
+    state, so the last call there must have been at ``prefix``.
+
+    ``key_bound(p, q, strict)`` is the ``K`` of the dilate ``mu^2 = p/q``:
+    ``x M x <= p s / q`` gives ``K = floor(p s / q)``, or ``ceil(p s / q) -
+    1`` when strict.  ``to_gauge(k)`` is the gauge ``sqrt(k / s)`` of key
+    ``k``."""
     forms = body._integer_forms
     scales = [s for _, s in forms]
     alphas = [m[k][k] for k, (m, _) in enumerate(forms)]
@@ -277,7 +296,21 @@ def _chain_levels(body: Ellipsoid):
         a, b, c = alphas[-1], betas[-1], gammas[-1]
         return lambda t: (a * t + 2 * b) * t + c
 
-    return build, interval, run_key
+    def key_bound(p: int, q: int, strict: bool) -> int:
+        return (p * scales[-1] - strict) // q
+
+    def to_gauge(key: int) -> GaugeValue:
+        return GaugeValue.sqrt_of(Fraction(key, scales[-1]))
+
+    return build, interval, run_key, key_bound, to_gauge
+
+
+def _levels(view: "Ellipsoid | HPolytope"):
+    """The walk provider of ``view``: :func:`_chain_levels` for an
+    ellipsoid, :func:`_poly_levels` for a polytope."""
+    if isinstance(view, Ellipsoid):
+        return _chain_levels(view)
+    return _poly_levels(view)
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +336,12 @@ def _dilate_interval(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
     strict): the search's own levels, built at one integer key.
 
     With ``mu^2 = p/q`` the integer points of the dilate, or of its
-    interior when strict, are those of integer key (:func:`integer_gauge_key`)
-    at most one integer ``K``.  For a polytope whose key rows share the
-    bound ``lcm``, ``key <= mu lcm`` gives ``K = isqrt(lcm^2 p // q)``, one
-    less when strict and the root is attained.  For an ellipsoid with full
-    form ``(M, s)``, ``x M x <= p s / q`` gives ``K = floor(p s / q)``, or
-    ``ceil(p s / q) - 1`` when strict.  Every level is then the projection
-    of that key set."""
+    interior when strict, are those of integer key at most the provider's
+    ``key_bound(p, q, strict)`` (:func:`_levels`).  Every level is then the
+    projection of that key set."""
     sq = mu.squared()
-    p, q = sq.numerator, sq.denominator
-    if isinstance(zbody, Ellipsoid):
-        build, interval, _ = _chain_levels(zbody)
-        build((p * zbody._integer_forms[-1][1] - int(strict)) // q)
-    else:
-        key_rows, lcm = _poly_key_rows(zbody)
-        build, interval, _ = _poly_levels(zbody, key_rows, lcm)
-        build(_isqrt_bound(lcm * lcm * p, q, strict))
+    build, interval, _, key_bound, _ = _levels(zbody)
+    build(key_bound(sq.numerator, sq.denominator, strict))
     return interval
 
 
@@ -410,62 +433,62 @@ def count_oracle(body: SymmetricBody, lattice: Lattice,
     solution has all coordinates within ``box_radius``.  Deliberately shares
     no interval machinery with :func:`count_points`.
     """
-    mu = GaugeValue.coerce(mu)
+    sq = GaugeValue.coerce(mu).squared()
+    a, b = sq.numerator, sq.denominator
     zbody = _standard_body(body, lattice)
-    dim = zbody.dim
-    test = _membership_test(zbody, mu, strict)
-    return sum(1 for p in itertools.product(
-        range(-box_radius, box_radius + 1), repeat=dim) if test(p))
+    within = _gauge_squared_within(zbody)
+    count = 0
+    for p in itertools.product(range(-box_radius, box_radius + 1),
+                               repeat=zbody.dim):
+        g = within(p, a, b)
+        if g is not None and not (strict and g[0] * b == a * g[1]):
+            count += 1
+    return count
 
 
-def _membership_test(zbody: SymmetricBody, mu: GaugeValue,
-                     strict: bool) -> Callable[[IntPoint], bool]:
-    """Integer-only membership predicate straight from the definitions."""
-    musq = mu.squared()
-    a, b = musq.numerator, musq.denominator
+def _gauge_squared_within(zbody: SymmetricBody):
+    """``within(x, a, b)``: the exact ``gauge(x)^2`` as ``(n, d)`` when
+    ``n/d <= a/b``, else ``None``; the evaluator of both brute-force oracles.
 
+    Built straight from the defining data (halfwidths, normals, the Gram
+    matrix), so the oracles share no arithmetic with the walks.  A polytope
+    is its normals as integer rows ``c`` over ``r``, with ``gauge(x) = max
+    |c.x| / r``, and a box the rows ``d_i e_i`` over ``n_i`` for ``w_i =
+    n_i/d_i``; ``within`` returns ``None`` at the first row past the bound,
+    so a point that cannot qualify rarely costs every row."""
+    if isinstance(zbody, Ellipsoid):
+        lcm = math.lcm(*(e.denominator for row in zbody.gram.entries
+                         for e in row))
+        m = [[int(e * lcm) for e in row] for row in zbody.gram.entries]
+
+        def within_ell(x: IntPoint, a: int, b: int) -> tuple[int, int] | None:
+            n = sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, m) if xi)
+            return None if n * b > a * lcm else (n, lcm)
+
+        return within_ell
+    # Each row is ``(c, r^2)``.
     if isinstance(zbody, Box):
-        # |x_i| <= mu w_i, squared to stay integral for sqrt dilations.
-        limits = [(w.numerator, w.denominator) for w in zbody.halfwidths]
-
-        def test_box(x: IntPoint) -> bool:
-            for (wn, wd), xi in zip(limits, x):
-                lhs = xi * xi * wd * wd * b
-                rhs = wn * wn * a
-                if lhs > rhs or (strict and lhs == rhs):
-                    return False
-            return True
-
-        return test_box
-
-    if isinstance(zbody, HPolytope):
+        dim = zbody.dim
+        rows = [(tuple(w.denominator * (j == i) for j in range(dim)),
+                 w.numerator ** 2) for i, w in enumerate(zbody.halfwidths)]
+    else:
         rows = []
         for normal in zbody.normals.entries:
             lcm = math.lcm(*(e.denominator for e in normal))
-            rows.append((tuple(int(e * lcm) for e in normal), lcm))
+            rows.append((tuple(int(e * lcm) for e in normal), lcm * lcm))
 
-        def test_poly(x: IntPoint) -> bool:
-            for coeffs, scale in rows:
-                dot = sum(c * xi for c, xi in zip(coeffs, x))
-                lhs = dot * dot * b
-                rhs = scale * scale * a
-                if lhs > rhs or (strict and lhs == rhs):
-                    return False
-            return True
+    def within(x: IntPoint, a: int, b: int) -> tuple[int, int] | None:
+        n, d = 0, 1
+        for coeffs, rr in rows:
+            dot = sum(map(mul, coeffs, x))
+            dot *= dot
+            if dot * b > a * rr:
+                return None
+            if dot * d > n * rr:
+                n, d = dot, rr
+        return n, d
 
-        return test_poly
-
-    lcm = math.lcm(*(e.denominator for row in zbody.gram.entries for e in row))
-    m = [[int(e * lcm) for e in row] for row in zbody.gram.entries]
-
-    def test_ell(x: IntPoint) -> bool:
-        val = sum(x[i] * m[i][j] * x[j]
-                  for i in range(len(x)) for j in range(len(x)))
-        lhs = val * b
-        rhs = lcm * a
-        return lhs < rhs or (not strict and lhs == rhs)
-
-    return test_ell
+    return within
 
 
 def axis_extent_bounds(body: SymmetricBody,
@@ -541,14 +564,8 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
         raise ValueError("mu must be a positive integer")
     if isinstance(view, Box):
         view = view.polytope()
-    if isinstance(view, Ellipsoid):
-        _, to_gauge, threshold = integer_gauge_key(view)
-        build, interval, run_key = _chain_levels(view)
-    else:
-        key_rows, lcm = _poly_key_rows(view)
-        _, to_gauge, threshold = _poly_gauge_key(key_rows, lcm)
-        build, interval, run_key = _poly_levels(view, key_rows, lcm)
-    state = _OutsideState(threshold(mu))
+    build, interval, run_key, key_bound, to_gauge = _levels(view)
+    state = _OutsideState(key_bound(mu * mu, 1, False))
     built_for = None
 
     def level(k: int, prefix: IntPoint) -> Bounds:
@@ -736,52 +753,6 @@ def _poly_run_key(key_rows: list[tuple[IntPoint, int]], prefix: IntPoint):
     lines = [(f * sum(c * p for c, p in zip(coeffs, prefix) if c),
               f * coeffs[last]) for coeffs, f in key_rows]
     return lambda t: max(r + s * t for r, s in lines)
-
-
-def integer_gauge_key(zbody: SymmetricBody):
-    """Integer sort key for gauges over the standard lattice.
-
-    Returns ``(key, to_gauge, threshold)`` where ``key(x)`` is a nonnegative
-    integer proportional to the gauge (or to its square for ellipsoids),
-    ``to_gauge`` converts a key back into the exact :class:`GaugeValue`, and
-    ``threshold(mu)`` is the key value of a point of gauge exactly ``mu``
-    for integer ``mu`` (so ``key(x) <= threshold(mu)`` iff ``x`` lies in the
-    ``mu``-dilate).  Sorting integer keys sorts by exact gauge.
-    """
-    if isinstance(zbody, Box):
-        lcm = math.lcm(*(w.numerator for w in zbody.halfwidths))
-        factors = [w.denominator * (lcm // w.numerator)
-                   for w in zbody.halfwidths]
-
-        def key_box(x: IntPoint) -> int:
-            return max(abs(xi) * f for xi, f in zip(x, factors))
-
-        return (key_box, lambda k: GaugeValue.rational(Fraction(k, lcm)),
-                lambda mu: mu * lcm)
-
-    if isinstance(zbody, HPolytope):
-        return _poly_gauge_key(*_poly_key_rows(zbody))
-
-    m, s = zbody._integer_forms[zbody.dim - 1]
-
-    def key_ell(x: IntPoint) -> int:
-        return sum(x[i] * m[i][j] * x[j]
-                   for i in range(len(x)) for j in range(len(x)))
-
-    return (key_ell, lambda k: GaugeValue.sqrt_of(Fraction(k, s)),
-            lambda mu: mu * mu * s)
-
-
-def _poly_gauge_key(scaled: list[tuple[IntPoint, int]], lcm: int):
-    """:func:`integer_gauge_key` of a polytope with key rows ``(scaled,
-    lcm)`` (:func:`_poly_key_rows`)."""
-
-    def key_poly(x: IntPoint) -> int:
-        return max(f * sum(c * xi for c, xi in zip(coeffs, x))
-                   for coeffs, f in scaled)
-
-    return (key_poly, lambda k: GaugeValue.rational(Fraction(k, lcm)),
-            lambda mu: mu * lcm)
 
 
 def _poly_key_rows(zbody: HPolytope) -> tuple[list[tuple[IntPoint, int]], int]:

@@ -24,7 +24,6 @@ and is escalated as a bug alarm rather than treated as a counterexample.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -35,8 +34,9 @@ from .bounds import (chain_sublattice, conjecture_rhs, divisor_chain,
                      first_bound_rhs, floor_terms, kernel_check, lemma_bound,
                      main_bound_rhs, minkowski_first_check,
                      minkowski_second_check, riemann_slack)
-from .enumeration import (_standard_body, axis_extent_bounds, count_oracle,
-                          count_points, enclosing_radius)
+from .enumeration import (_gauge_squared_within, _standard_body,
+                          axis_extent_bounds, count_oracle, count_points,
+                          enclosing_radius)
 from .gauges import GaugeValue
 from .lattices import Lattice
 from .matrices import Matrix, _int_det
@@ -384,84 +384,34 @@ def campaign(specs: Iterable[InstanceSpec], *, minkowski: str = "auto",
 # definition-level cross-checks
 
 
-def _squared_gauge_evaluator(zbody: SymmetricBody):
-    """Integer evaluator ``x -> (n, d)`` with ``gauge(x)^2 = n/d``.
-
-    Built directly from the defining data of each shape (halfwidth ratios,
-    normal-row ratios, the quadratic form) so the brute-force oracles do
-    not share arithmetic with the enumeration fast paths.
-    """
-    if isinstance(zbody, Box):
-        axes = [(w.denominator, w.numerator) for w in zbody.halfwidths]
-
-        def eval_box(x: Sequence[int]) -> tuple[int, int]:
-            bn, bd = 0, 1
-            for xi, (num, den) in zip(x, axes):
-                n = abs(xi) * num
-                if n * bd > bn * den:
-                    bn, bd = n, den
-            return bn * bn, bd * bd
-
-        return eval_box
-    if isinstance(zbody, Ellipsoid):
-        lcm = math.lcm(*(e.denominator for row in zbody.gram.entries
-                         for e in row))
-        m = [[int(e * lcm) for e in row] for row in zbody.gram.entries]
-
-        def eval_ell(x: Sequence[int]) -> tuple[int, int]:
-            total = 0
-            for i, xi in enumerate(x):
-                if xi:
-                    row = m[i]
-                    total += xi * sum(row[j] * xj
-                                      for j, xj in enumerate(x) if xj)
-            return total, lcm
-
-        return eval_ell
-    rows = [(tuple(int(c * row_lcm) for c in row), row_lcm)
-            for row in zbody.normals.entries
-            for row_lcm in [_den_lcm(row)]]
-
-    def eval_poly(x: Sequence[int]) -> tuple[int, int]:
-        bn, bd = 0, 1
-        for coeffs, den in rows:
-            n = abs(sum(c * xi for c, xi in zip(coeffs, x) if xi))
-            if n * bd > bn * den:
-                bn, bd = n, den
-        return bn * bn, bd * bd
-
-    return eval_poly
-
-
-def _den_lcm(row: Sequence[Fraction]) -> int:
-    return math.lcm(*(e.denominator for e in row))
-
-
 def _lambda1_squared_oracle(body: SymmetricBody,
                             lattice: Lattice) -> Fraction:
     """Brute-force squared first minimum via doubling box scans.
 
     Scans the integer points of a per-axis bounding box of ``mu * body``
-    for mu = 1, 2, 4, ...; once the smallest gauge seen is ``<= mu`` the
-    scan provably covered every point that could beat it.
+    for mu = 1, 2, 4, ...; once a point of gauge ``<= mu`` is seen the scan
+    provably covered every point that could beat it.  The bound starts at
+    ``mu^2`` and drops to each new best, so a point that cannot win leaves
+    the evaluator at its first row past the bound.
     """
     zbody = _standard_body(body, lattice)
     standard = Lattice.standard(body.dim)
-    eval_sq = _squared_gauge_evaluator(zbody)
+    within = _gauge_squared_within(zbody)
     extents = axis_extent_bounds(zbody, standard)
     mu = 1
     while True:
         radii = tuple(-((-e.numerator * mu) // e.denominator)
                       for e in extents)
         best: tuple[int, int] | None = None
+        a, b = mu * mu, 1
         for p in itertools.product(*(range(-r, r + 1) for r in radii)):
             if not any(p):
                 continue
-            n, d = eval_sq(p)
-            if best is None or n * best[1] < best[0] * d:
-                best = (n, d)
-        if best is not None and best[0] <= best[1] * mu * mu:
-            return Fraction(best[0], best[1])
+            g = within(p, a, b)
+            if g is not None and (best is None or g[0] * b < a * g[1]):
+                best = a, b = g
+        if best is not None:
+            return Fraction(*best)
         mu *= 2
 
 

@@ -176,6 +176,25 @@ class TestCountCommand:
             assert err.startswith("input error: --seed: ")
             assert len(err.splitlines()) == 1
 
+    def test_undecodable_input_exits_2(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" +
+                         json.dumps(BOX13_DOC).encode("utf-16-le"))
+        rc, out, err = run_cli(monkeypatch, capsys,
+                               ["count", "--input", str(path)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("input error: input is not UTF-8: ")
+        assert len(err.splitlines()) == 1
+
+    def test_deeply_nested_input_exits_2(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        for argv, stdin_text in ((["count", "--input", str(path)], ""),
+                                 (["count"], "[" * 100_000)):
+            rc, out, err = run_cli(monkeypatch, capsys, argv, stdin_text)
+            assert (rc, out) == (2, "")
+            assert err == "input error: invalid JSON: nested too deeply\n"
+
     def test_sqrt_dilation(self, monkeypatch, capsys):
         doc = json.dumps(BOX13_DOC)
         for mu, count in (('{"sqrt": "2"}', "27"), ('{"sqrt":"4"}', "65"),

@@ -11,9 +11,9 @@ from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
                     count_oracle, count_points, enclosing_radius,
                     enumerate_points)
 from latmin import enumeration
-from latmin.enumeration import (axis_extent_bounds, axis_radii,
-                                integer_gauge_key, min_key_point_outside,
-                                open_point_outside)
+from latmin.enumeration import (_gauge_squared_within, _levels,
+                                _standard_body, axis_extent_bounds, axis_radii,
+                                min_key_point_outside, open_point_outside)
 from latmin.minima import successive_minima
 
 from strategies import (bodies, boxes, instances, lattices,
@@ -167,25 +167,66 @@ class TestExtentHelpers:
             assert all(abs(c) <= radius for c in p)
 
 
+class TestGaugeSquaredWithin:
+    @given(small_instances(), st.data())
+    def test_exact_gauge_squared_up_to_the_bound(self, inst, data):
+        # Every body kind, as constructed and as a view over a lattice; the
+        # bound at, below and above the point's own gauge squared.
+        body, lattice = inst
+        x = data.draw(st.tuples(*[st.integers(-4, 4)] * body.dim))
+        drawn = data.draw(st.fractions(0, 20, max_denominator=12))
+        for zbody in (body, _standard_body(body, lattice)):
+            within = _gauge_squared_within(zbody)
+            sq = zbody.gauge(x).squared()
+            for bound in (sq, sq * F(9, 10), sq * F(11, 10) + F(1, 100),
+                          drawn):
+                got = within(x, bound.numerator, bound.denominator)
+                if sq <= bound:
+                    assert got is not None and F(*got) == sq
+                else:
+                    assert got is None
+
+
+def _provider(body):
+    """The walk provider of ``body``; a box is walked as its polytope."""
+    return _levels(body.polytope() if isinstance(body, Box) else body)
+
+
+def _run_key(levels, x):
+    """The integer key of ``x`` from the provider's ``run_key``, after
+    asking every level along ``x`` in turn, as a depth-first walk does."""
+    build, interval, run_key, _, _ = levels
+    build(0)
+    for k in range(len(x)):
+        interval(k, x[:k])
+    return run_key(x[:-1])(x[-1])
+
+
 class TestIntegerGaugeKey:
     @given(st.integers(1, 3).flatmap(lambda d: bodies(d, small=True)),
            st.data())
     def test_key_orders_exactly_like_the_gauge(self, body, data):
-        key, to_gauge, threshold = integer_gauge_key(body)
+        levels = _provider(body)
+        _, _, _, key_bound, _ = levels
         xs = [data.draw(st.tuples(*[st.integers(-4, 4)] * body.dim))
               for _ in range(3)]
-        for x in xs:
+        keys = [_run_key(levels, x) for x in xs]
+        for x, key in zip(xs, keys):
             for mu in (1, 2):
-                assert (key(x) <= threshold(mu)) == (body.gauge(x) <= mu)
-        for a, b in zip(xs, xs[1:]):
-            assert (key(a) < key(b)) == (body.gauge(a) < body.gauge(b))
+                assert (key <= key_bound(mu * mu, 1, False)) == \
+                    (body.gauge(x) <= mu)
+                assert (key <= key_bound(mu * mu, 1, True)) == \
+                    (body.gauge(x) < mu)
+        for a, b, ka, kb in zip(xs, xs[1:], keys, keys[1:]):
+            assert (ka < kb) == (body.gauge(a) < body.gauge(b))
 
     @given(st.integers(1, 3).flatmap(lambda d: bodies(d, small=True)),
            st.data())
     def test_key_converts_back_to_the_exact_gauge(self, body, data):
-        key, to_gauge, threshold = integer_gauge_key(body)
+        levels = _provider(body)
+        _, _, _, _, to_gauge = levels
         x = data.draw(st.tuples(*[st.integers(-4, 4)] * body.dim))
-        assert to_gauge(key(x)) == body.gauge(x)
+        assert to_gauge(_run_key(levels, x)) == body.gauge(x)
 
 
 def _brute_outside(zbody, flat, mu, rows=None):

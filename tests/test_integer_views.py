@@ -16,8 +16,7 @@ from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
 from latmin.bodies import (_derived, _eliminate_last, _int_det, _integer_basis,
                            _prune_rows)
 from latmin.enumeration import (_chain_levels, _dilate_interval,
-                                _poly_interval, _poly_key_rows, _poly_run_key,
-                                integer_gauge_key)
+                                _poly_interval, _poly_levels)
 from latmin.harness import InstanceSpec, generate
 from latmin.matrices import align_witnesses
 from latmin.minima import successive_minima
@@ -278,7 +277,7 @@ class TestChainLevels:
                     body, GaugeValue.sqrt_of(sq), strict), key, dilate))
         # The search at an integer key that is not a multiple of s.
         key = 2 * s_full + extra
-        build, interval, _ = _chain_levels(body)
+        build, interval, *_ = _chain_levels(body)
         build(key)
         walks.append((interval, key, None))
 
@@ -464,17 +463,29 @@ class TestPruneRows:
         assert _prune_rows(rows) == want
 
 
+def _key_bound_reference(key_bound, gauge):
+    """``(closed, strict)`` key bounds of the dilate ``mu = gauge``."""
+    sq = gauge.squared()
+    return (key_bound(sq.numerator, sq.denominator, False),
+            key_bound(sq.numerator, sq.denominator, True))
+
+
 class TestRunKeys:
+    # A point's run key is the closed key bound of its own gauge, and the
+    # strict bound is one less: the dilate through a point holds it and its
+    # interior does not.  ``to_gauge`` reads the key back as that gauge.
+
     @given(dims.flatmap(lambda d: st.tuples(rational_polytopes(d),
                                             int_points(d - 1, 3),
                                             st.integers(-5, 5))))
     def test_poly_run_key(self, case):
         body, prefix, t = case
-        rows, lcm = _poly_key_rows(body)
-        key = _poly_run_key(rows, prefix)(t)
+        _, _, run_key, key_bound, to_gauge = _poly_levels(body)
+        key = run_key(prefix)(t)
         x = prefix + (t,)
-        assert key == integer_gauge_key(body)[0](x)
-        assert GaugeValue.rational(Fraction(key, lcm)) == body.gauge(x)
+        assert _key_bound_reference(key_bound, body.gauge(x)) == \
+            (key, key - 1)
+        assert to_gauge(key) == body.gauge(x)
 
     @given(dims.flatmap(lambda d: st.tuples(rational_ellipsoids(d),
                                             int_points(d - 1, 3),
@@ -484,14 +495,16 @@ class TestRunKeys:
         # asked in turn along the prefix first, as a depth-first walk does.
         body, prefix, t = case
         s = body._integer_forms[-1][1]
-        build, interval, run_key = _chain_levels(body)
+        build, interval, run_key, key_bound, to_gauge = _chain_levels(body)
         build(1)
         for k in range(body.dim):
             interval(k, prefix[:k])
         key = run_key(prefix)(t)
         x = prefix + (t,)
-        assert key == integer_gauge_key(body)[0](x)
+        assert _key_bound_reference(key_bound, body.gauge(x)) == \
+            (key, key - 1)
         assert Fraction(key, s) == body.gauge_squared(x)
+        assert to_gauge(key) == body.gauge(x)
 
 
 class TestFlagUnimodular:
