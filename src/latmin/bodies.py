@@ -21,17 +21,22 @@ exact integers (primitive integer rows; integer forms ``x M x <= s``), are
 computed once per body and cached on the instance; fills are idempotent so
 concurrent readers are safe.
 
-Each Fourier-Motzkin row remembers the set of original rows it was built
-from.  Besides keeping only the tightest of parallel rows, the elimination
-drops the rows that Chernikov's rule (more than ``k + 1`` original rows
-after ``k`` eliminations) and Kohler's rule (a set that strictly contains
-another kept row's set) prove implied by the others (Imbert 1993).  That
-keeps every level at the size of the projection itself: without the rules
-a dim-6 polytope reaches tens of thousands of rows.  Only the last level,
-the body's own rows, decides membership; the walks, the minima search and
-the axis extents use the inner levels only as containers of the
-projections, so a row dropped in error could only enlarge an inner level:
-it would cost walking time, not give a wrong answer.
+The bodies are 0-symmetric, so every projection is too, and each
+Fourier-Motzkin row is a pair ``|c . x| <= r``: one row stands for the
+one-sided rows ``c . x <= r`` and ``-c . x <= r``, which halves every
+level, every interval and every run key.  Each row remembers the set of
+original one-sided rows its ``+`` side was built from; its ``-`` side has
+the mirrored set.  Besides keeping only the tightest of parallel rows, the
+elimination drops the rows that Chernikov's rule (more than ``k + 1``
+original rows after ``k`` eliminations) and Kohler's rule (a set that
+strictly contains another kept one-sided row's set) prove implied by the
+others (Imbert 1993).  That keeps every level at the size of the
+projection itself: without the rules a dim-6 polytope reaches tens of
+thousands of rows.  Only the last level, the body's own rows, decides
+membership; the walks, the minima search and the axis extents use the
+inner levels only as containers of the projections, so a row dropped in
+error could only enlarge an inner level: it would cost walking time, not
+give a wrong answer.
 
 ``preimage`` writes any nonsingular rational basis as ``Z / D`` (``Z``
 integer, ``D`` the least common denominator) and derives the pulled-back
@@ -69,7 +74,7 @@ from .lattices import Lattice
 from .matrices import (DimensionMismatch, Matrix, Scalar, _frac, _int_det,
                        _lcd_form, _over)
 
-# One-sided integer inequality `coeffs . x <= rhs`.
+# Integer inequality pair `|coeffs . x| <= rhs`.
 IntRow = tuple[tuple[int, ...], int]
 # Integer quadratic form `x M x <= s` as the pair `(M, s)`.
 IntForm = tuple[tuple[tuple[int, ...], ...], int]
@@ -134,26 +139,38 @@ def _schur_chain(form: IntForm) -> tuple[IntForm, ...]:
     return tuple(forms)
 
 
-def _tightest(rows: Iterable[tuple[tuple[int, ...], int, int]],
+def _tightest(rows: Iterable[tuple[tuple[int, ...], int, int]], half: int,
               ) -> list[tuple[IntRow, int]]:
     """Drop trivial rows and keep only the tightest of parallel rows.
 
-    A row ``(coeffs, rhs, h)`` is ``coeffs . x <= rhs``, built from the set
-    ``h`` of original rows (a bitmask).  Parallel rows share the primitive
-    direction ``coeffs / g``; their bounds ``rhs / g`` are compared by
-    cross-multiplication, and of tied ones the first with the smallest set
-    is kept, as ``((den * key, num), h)`` for the bound ``num / den`` in
-    lowest terms, in the order the directions first occur."""
-    # Primitive direction -> (rhs, g, h) of the row g * key . x <= rhs.
+    A row ``(coeffs, rhs, h)`` is ``|coeffs . x| <= rhs``, built from the
+    set ``h`` of original rows (a bitmask of :func:`_eliminate_last`, whose
+    ``half`` original pairs take the low bits for ``+`` and the high bits
+    for ``-``).  Parallel rows share the primitive direction ``coeffs / g``
+    up to sign; each row is turned so that its last nonzero coefficient is
+    positive, which mirrors its set, and the bounds ``rhs / g`` are
+    compared by cross-multiplication.  Of tied rows the first with the
+    smallest set is kept, as ``((den * key, num), h)`` for the bound ``num
+    / den`` in lowest terms, in the order the directions first occur."""
+    low = (1 << half) - 1
+    # Primitive direction, last nonzero entry positive -> (rhs, g, h) of
+    # the row |g * key . x| <= rhs.
     best: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for coeffs, rhs, h in rows:
         g = math.gcd(*coeffs)
         if g == 0:
-            # 0 <= rhs; trivially true for the 0-symmetric bodies we build.
+            # |0| <= rhs; trivially true for the 0-symmetric bodies we build.
             if rhs < 0:
                 raise InvalidBodyError("projection produced an empty system")
             continue
-        key = tuple([c // g for c in coeffs]) if g > 1 else coeffs
+        for c in reversed(coeffs):
+            if c:
+                break
+        if c < 0:
+            g = -g
+            h = (h >> half) | ((h & low) << half)
+        key = tuple([c // g for c in coeffs]) if g != 1 else coeffs
+        g = abs(g)
         old = best.get(key)
         if old is not None:
             cross, old_cross = rhs * old[1], old[0] * g
@@ -171,49 +188,68 @@ def _tightest(rows: Iterable[tuple[tuple[int, ...], int, int]],
 
 def _prune_rows(rows: Iterable[IntRow]) -> list[IntRow]:
     """:func:`_tightest` of rows that carry no sets."""
-    return [row for row, _ in _tightest((c, r, 0) for c, r in rows)]
+    return [row for row, _ in _tightest(((c, r, 0) for c, r in rows), 0)]
 
 
 def _eliminate_last(rows: Sequence[IntRow], hists: Sequence[int], width: int,
-                    limit: int) -> tuple[list[IntRow], list[int]]:
+                    limit: int, half: int) -> tuple[list[IntRow], list[int]]:
     """Fourier-Motzkin elimination of variable ``width - 1``, in one pass.
 
-    ``hists[i]`` is the set of original rows that ``rows[i]`` was built
-    from, as a bitmask; the result carries the sets of its rows.  The rows
-    free of the variable, then each combination of a row with a positive
-    and a row with a negative coefficient, go through one
-    :func:`_tightest` pass, which keeps the tightest of parallel rows and,
-    of tied ones, the one with the smaller set.  Two rules drop rows that
-    the others imply (Imbert 1993):
+    Each row ``(c, r)`` is the pair ``|c . x| <= r``, that is the one-sided
+    rows ``c . x <= r`` and ``-c . x <= r``.  ``hists[i]`` is the set of
+    original one-sided rows that the ``+`` side of ``rows[i]`` was built
+    from, as a bitmask: original pair ``i`` of ``half`` is bit ``i`` for
+    ``+`` and bit ``i + half`` for ``-``, so the ``-`` side has the
+    mirrored set ``(h >> half) | ((h & (2^half - 1)) << half)``, and
+    turning a row over mirrors its set.  The result carries the sets of
+    its rows.
+
+    Each pair with a nonzero last coefficient is turned so that the
+    coefficient ``a`` is positive.  Of the one-sided combinations, those of
+    a pair with itself are zero and those of ``{P, Q}`` come as one row and
+    its negative, so each unordered pair is combined once, as ``(d c_P - a
+    c_Q, d r_P + a r_Q)`` with the set ``h_P | mirror(h_Q)``, ``a`` and
+    ``d`` the last coefficients of ``P`` and ``Q``.  The rows free of the
+    variable, then the combinations, go through one :func:`_tightest` pass,
+    which keeps the tightest of parallel rows and, of tied ones, the one
+    with the smaller set.  Two rules drop rows that the others imply
+    (Imbert 1993), read on the one-sided system, whose sets are the kept
+    sets and their mirrors:
 
     * Chernikov (1965): a combination of more than ``limit`` original
       rows, ``limit`` being one more than the number of variables
       eliminated so far, is never built;
     * Kohler (1967): a row whose set strictly contains the set of another
-      kept row is dropped.
+      kept one-sided row, or its mirror, is dropped.
 
     By the two rules' theorems every dropped row is implied by the kept
     ones, so the result is the same projection; a row dropped in error
     could only enlarge it, never shrink it."""
     last = width - 1
+    low = (1 << half) - 1
     out: list[tuple[tuple[int, ...], int, int]] = []
-    pos, neg = [], []
+    live = []
     for (coeffs, rhs), h in zip(rows, hists):
         a = coeffs[last]
         if a == 0:
             out.append((coeffs[:last], rhs, h))
         elif a > 0:
-            pos.append((coeffs[:last], a, rhs, h))
+            live.append((coeffs[:last], a, rhs, h,
+                         (h >> half) | ((h & low) << half)))
         else:
-            neg.append((coeffs[:last], -a, rhs, h))
-    out += [(tuple([d * x + a * y for x, y in zip(cp, cn)]), d * bp + a * bn,
-             hp | hn)
-            for cp, a, bp, hp in pos for cn, d, bn, hn in neg
-            if (hp | hn).bit_count() <= limit]
-    kept = _tightest(out)
+            live.append((tuple([-c for c in coeffs[:last]]), -a, rhs,
+                         (h >> half) | ((h & low) << half), h))
+    out += [(tuple([d * x - a * y for x, y in zip(cp, cq)]), d * rp + a * rq,
+             hp | mq)
+            for i, (cp, a, rp, hp, _) in enumerate(live)
+            for cq, d, rq, _, mq in live[i + 1:]
+            if (hp | mq).bit_count() <= limit]
+    kept = _tightest(out, half)
+    sets = {h for _, h in kept}
+    sets |= {(h >> half) | ((h & low) << half) for h in sets}
     # By increasing size, so a set is kept iff no kept set is a subset.
     minimal: set[int] = set()
-    for h in sorted({h for _, h in kept}, key=int.bit_count):
+    for h in sorted(sets, key=int.bit_count):
         if not any(m & h == m for m in minimal):
             minimal.add(h)
     kept = [(row, h) for row, h in kept if h in minimal]
@@ -360,18 +396,18 @@ class HPolytope:
 
     @cached_property
     def _top_rows(self) -> tuple[IntRow, ...]:
-        """The system ``|<a_i, x>| <= 1`` as pruned primitive integer rows:
-        row ``z`` of the integer normals ``(Z, D)`` gives ``+-(z / g, D /
-        g)``, ``g = gcd(D, *z)``.  A view's rows are its parent's pulled
-        back, in the same order: a nonsingular basis keeps the parallel
-        classes and which bound of each is tightest."""
+        """The system ``|<a_i, x>| <= 1`` as pruned primitive integer pairs:
+        row ``z`` of the integer normals ``(Z, D)`` gives ``(z / g, D /
+        g)``, ``g = gcd(D, *z)``, turned by :func:`_tightest` so that its
+        last nonzero coefficient is positive.  A view's rows are its
+        parent's pulled back, in the same order and up to sign: a
+        nonsingular basis keeps the parallel classes and which bound of
+        each is tightest."""
         z, d = self._integer_normals
         rows: list[IntRow] = []
         for row in z:
             g = math.gcd(d, *row)
-            coeffs = tuple([c // g for c in row])
-            rows.append((coeffs, d // g))
-            rows.append((tuple([-c for c in coeffs]), d // g))
+            rows.append((tuple([c // g for c in row]), d // g))
         return tuple(_prune_rows(rows))
 
     @cached_property
@@ -379,20 +415,23 @@ class HPolytope:
         """Projection systems indexed by width: entry ``k-1`` constrains the
         first ``k`` coordinates.  Entry ``d-1`` is :attr:`_top_rows`.
 
-        The rows of :attr:`_top_rows` are the original rows of the
-        Chernikov and Kohler rules of :func:`_eliminate_last`, row ``i``
-        the bit ``1 << i``, so the levels depend only on their order."""
+        The pairs of :attr:`_top_rows` are the original pairs of the
+        Chernikov and Kohler rules of :func:`_eliminate_last`, pair ``i``
+        the bit ``1 << i`` on its ``+`` side, so the levels depend only on
+        their order.  Every row leaves :func:`_tightest` with its last
+        nonzero coefficient positive, so level ``k`` has ``c[k] >= 0`` in
+        every row ``c``; it bounds coordinate ``k`` iff some ``c[k]`` is
+        nonzero."""
+        half = len(self._top_rows)
         systems = [self._top_rows]
-        hists = [1 << i for i in range(len(self._top_rows))]
+        hists = [1 << i for i in range(half)]
         for width in range(self.dim, 1, -1):
             rows, hists = _eliminate_last(systems[-1], hists, width,
-                                          self.dim - width + 2)
+                                          self.dim - width + 2, half)
             systems.append(tuple(rows))
         systems.reverse()
         for k, system in enumerate(systems):
-            has_pos = any(c[k] > 0 for c, _ in system)
-            has_neg = any(c[k] < 0 for c, _ in system)
-            if not (has_pos and has_neg):
+            if not any(c[k] for c, _ in system):
                 raise InvalidBodyError(
                     "projection interval unbounded; body is not compact")
         return tuple(systems)
@@ -516,16 +555,20 @@ def _integer_basis(a: Transform, dim: int) -> IntForm:
     """Validate a ``preimage`` transform, square of size ``dim`` and
     nonsingular, and write it as ``Z / D``: returns ``(Z, D)`` with ``Z``
     an integer matrix and ``D`` the least common denominator of a rational
-    :class:`Matrix`; integer rows are ``Z`` itself over ``D = 1``."""
+    :class:`Matrix`, whose integer form and determinant it keeps, so a
+    lattice basis is reduced once however many bodies it pulls back;
+    integer rows are ``Z`` itself over ``D = 1``."""
     if isinstance(a, Matrix):
         if not a.is_square or a.nrows != dim:
             raise DimensionMismatch("transform has wrong shape")
-        z, d = _lcd_form(a.entries)
+        z, d = a._integer_form
+        det = a._integer_det
     else:
         if len(a) != dim or any(len(row) != dim for row in a):
             raise DimensionMismatch("transform has wrong shape")
         z, d = a, 1
-    if _int_det(z) == 0:
+        det = _int_det(z)
+    if det == 0:
         raise InvalidBodyError("transform must be nonsingular")
     return z, d
 

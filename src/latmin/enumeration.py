@@ -154,28 +154,32 @@ def _walk(dim: int, interval: Callable[[int, IntPoint], Bounds],
 
 
 def _poly_interval(rows, prefix: IntPoint, k: int) -> Bounds:
-    """Integer range of coordinate ``k`` under ``rows`` at ``prefix``;
-    ``None`` when it is empty."""
+    """Integer range of coordinate ``k`` under the pairs ``|c . x| <= r``
+    of ``rows``, each with ``c[k] >= 0``, at ``prefix``; ``None`` when it
+    is empty.
+
+    With ``s`` the dot product of ``c`` and the prefix, a pair with ``c[k]
+    > 0`` bounds ``t`` by ``-(r + s) <= c[k] t <= r - s``, and one with
+    ``c[k] = 0`` fails when ``|s| > r``."""
     lo = None
     hi = None
     for coeffs, rhs in rows:
-        r = rhs
+        s = 0
         for c, p in zip(coeffs, prefix):
             if c:
-                r -= c * p
+                s += c * p
         cj = coeffs[k]
         if cj == 0:
-            if r < 0:
+            if s > rhs or -s > rhs:
                 return None
-        elif cj > 0:
-            b = r // cj
-            if hi is None or b < hi:
-                hi = b
-        else:
-            b = -(r // (-cj))
-            if lo is None or b > lo:
-                lo = b
-    if lo is None or hi is None:
+            continue
+        b = (rhs - s) // cj
+        if hi is None or b < hi:
+            hi = b
+        b = -((rhs + s) // cj)
+        if lo is None or b > lo:
+            lo = b
+    if hi is None:
         raise InvalidBodyError("unbounded enumeration interval")
     if lo > hi:
         return None
@@ -188,14 +192,15 @@ def _poly_levels(view: HPolytope):
     the key rule, for the key rows ``(key_rows, lcm)`` of
     :func:`_poly_key_rows`, under which ``gauge(x) = key(x) / lcm``.
 
-    A point has key at most ``K`` iff it satisfies every top row ``c.x <=
-    r`` scaled to ``lcm c.x <= K r``, and the cascade rows, projections of
-    the top rows, scale the same way.  So ``build(K)`` sets the levels to
-    the cascade's own coefficients with the bounds ``floor(K r / lcm)``:
-    level ``k`` bounds the projection of the key set on the first ``k + 1``
-    coordinates, and the last level is the key set itself.  ``interval``
-    reads the levels of the last build, so a search may rebuild between
-    calls.
+    A point has key at most ``K`` iff it satisfies every top pair ``|c.x|
+    <= r`` scaled to ``lcm |c.x| <= K r``, and the cascade pairs,
+    projections of the top pairs, scale the same way.  So ``build(K)`` sets
+    the levels to the cascade's own coefficients, level ``k`` with ``c[k]
+    >= 0`` as :attr:`HPolytope._cascade` keeps it, and the bounds ``floor(K
+    r / lcm)``: level ``k`` bounds the projection of the key set on the
+    first ``k + 1`` coordinates, and the last level is the key set itself.
+    ``interval`` (:func:`_poly_interval`) reads the levels of the last
+    build, so a search may rebuild between calls.
 
     ``key_bound(p, q, strict)`` is the ``K`` of the dilate ``mu^2 = p/q``:
     ``key <= mu lcm`` gives ``K = isqrt(lcm^2 p // q)``, one less when
@@ -555,8 +560,8 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
     coordinate the tied points form a contiguous run whose preferred image
     is located analytically, so neither time nor memory grows with the
     number of lattice points on a tied gauge face.  A box is searched as the
-    polytope with rows ``(+-d e_i, n)`` for ``w_i = n/d``, whose integer key
-    is exactly the box's.
+    polytope with the pairs ``|d x_i| <= n`` for ``w_i = n/d``, whose
+    integer key is exactly the box's.
     """
     if not 1 <= flat <= view.dim:
         raise ValueError("flat must be in 1..dim")
@@ -747,18 +752,19 @@ def _image_run(image_rows: tuple[IntPoint, ...],
 def _poly_run_key(key_rows: list[tuple[IntPoint, int]], prefix: IntPoint):
     """``t -> key(prefix + (t,))`` for the rows of :func:`_poly_key_rows`.
 
-    Each row contributes ``r + s t`` with its residual ``r`` at the prefix,
-    computed once per run, and its slope ``s``."""
+    Each pair contributes ``|r + s t|`` with its residual ``r`` at the
+    prefix, computed once per run, and its slope ``s``; the maximum of
+    these is convex in ``t``."""
     last = len(prefix)
     lines = [(f * sum(c * p for c, p in zip(coeffs, prefix) if c),
               f * coeffs[last]) for coeffs, f in key_rows]
-    return lambda t: max(r + s * t for r, s in lines)
+    return lambda t: max(abs(r + s * t) for r, s in lines)
 
 
 def _poly_key_rows(zbody: HPolytope) -> tuple[list[tuple[IntPoint, int]], int]:
-    """``(rows, lcm)`` with ``gauge(x) = max f <c, x> / lcm`` over the rows
-    ``(c, f)``: the primitive rows ``<c, x> <= r`` scaled by ``f = lcm / r``
-    to the common bound ``lcm``."""
+    """``(rows, lcm)`` with ``gauge(x) = max f |<c, x>| / lcm`` over the
+    rows ``(c, f)``: the primitive pairs ``|<c, x>| <= r`` scaled by ``f =
+    lcm / r`` to the common bound ``lcm``."""
     rows = zbody._top_rows
     lcm = math.lcm(*(rhs for _, rhs in rows))
     return [(coeffs, lcm // rhs) for coeffs, rhs in rows], lcm

@@ -48,8 +48,9 @@ class Lattice:
     def dim(self) -> int:
         return self.basis.nrows
 
-    @property
+    @functools.cached_property
     def is_standard(self) -> bool:
+        """Is the basis the identity?  Read once and kept."""
         return all(e == int(i == j) for i, row in enumerate(self.basis.entries)
                    for j, e in enumerate(row))
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -81,7 +82,11 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable rational matrix stored as a tuple of row tuples."""
+    """Immutable rational matrix stored as a tuple of row tuples.
+
+    Its integer form ``(Z, D)`` and, for a square matrix, the determinant
+    of ``Z`` are computed on first read and kept; ``==``, ``hash`` and
+    ``repr`` read only ``entries``."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -148,6 +153,19 @@ class Matrix:
     def is_integer(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(Z, D)``: the numerators ``Z = D * self`` over the least
+        common denominator ``D`` of the entries (:func:`_lcd_form`)."""
+        return _lcd_form(self.entries)
+
+    @cached_property
+    def _integer_det(self) -> int:
+        """``det Z`` of a square matrix ``Z / D`` (Bareiss elimination)."""
+        if not self.is_square:
+            raise DimensionMismatch("determinant needs a square matrix")
+        return _int_det(self._integer_form[0])
+
     # -- arithmetic --------------------------------------------------------
 
     def transpose(self) -> "Matrix":
@@ -158,8 +176,8 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        za, da = _lcd_form(self.entries)
-        zb, db = _lcd_form(other.entries)
+        za, da = self._integer_form
+        zb, db = other._integer_form
         cols = tuple(zip(*zb))
         return Matrix(_over(
             [[sum(a * b for a, b in zip(row, col)) for col in cols]
@@ -169,7 +187,7 @@ class Matrix:
         """Matrix-vector product ``self @ v``."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length does not match columns")
-        z, d = _lcd_form(self.entries)
+        z, d = self._integer_form
         (x,), e = _lcd_form([v])
         return _over([[sum(a * b for a, b in zip(row, x)) for row in z]],
                      d * e)[0]
@@ -183,17 +201,15 @@ class Matrix:
     def det(self) -> Fraction:
         """Exact determinant: ``det Z / D^n`` for ``self = Z / D``, with
         ``det Z`` by Bareiss elimination."""
-        if not self.is_square:
-            raise DimensionMismatch("determinant needs a square matrix")
-        z, d = _lcd_form(self.entries)
-        return Fraction(_int_det(z), d ** self.nrows)
+        return Fraction(self._integer_det,
+                        self._integer_form[1] ** self.nrows)
 
     def rank(self) -> int:
         """Rank of the numerators ``Z`` by fraction-free elimination.
 
         Every entry stays a minor of ``Z`` (Sylvester's identity), also
         across columns without a pivot, so each division is exact."""
-        work = [list(row) for row in _lcd_form(self.entries)[0]]
+        work = [list(row) for row in self._integer_form[0]]
         nrows = self.nrows
         rank, prev = 0, 1
         for col in range(self.ncols):
@@ -220,7 +236,7 @@ class Matrix:
         ``p = +-det Z``, every division exact."""
         if not self.is_square:
             raise DimensionMismatch("inverse needs a square matrix")
-        z, d = _lcd_form(self.entries)
+        z, d = self._integer_form
         n = self.nrows
         work = [list(row) + [int(i == j) for j in range(n)]
                 for i, row in enumerate(z)]

@@ -296,7 +296,7 @@ class TestMinKeyPointOutside:
         lambda d: st.tuples(boxes(d, max_num=2, max_den=3),
                             shear_unimodulars(d))), st.data())
     def test_box_searches_as_its_polytope(self, box_and_rows, data):
-        # Halfwidth w = n/d gives the polytope rows (+-d e_i, n); the search
+        # Halfwidth w = n/d gives the polytope pairs |d x_i| <= n; the search
         # must answer the same, including the preferred image under rows.
         box, u = box_and_rows
         flat = data.draw(st.integers(1, box.dim))

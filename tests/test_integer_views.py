@@ -1,7 +1,11 @@
 """Integer paths of the pull-back and the minima search: preimage views
 through any rational basis, integer Fourier-Motzkin pruning, the integer
 Schur chain and its incremental walk, the leaf run keys, and the rational
-matrices that views build only when read."""
+matrices that views build only when read.
+
+The polytope systems are pairs ``|c . x| <= r``; the references below
+are the one-sided definitions (``c . x <= r``), and a pair system is
+compared with them through its one-sided rows ``+-c . x <= r``."""
 
 import itertools
 import math
@@ -12,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 
 from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
-                    InvalidBodyError, Matrix, minima)
+                    InvalidBodyError, Lattice, Matrix, minima)
 from latmin.bodies import (_derived, _eliminate_last, _int_det, _integer_basis,
                            _prune_rows)
 from latmin.enumeration import (_chain_levels, _dilate_interval,
-                                _poly_interval, _poly_levels)
+                                _poly_interval, _poly_levels,
+                                axis_extent_bounds)
 from latmin.harness import InstanceSpec, generate
 from latmin.matrices import align_witnesses
 from latmin.minima import successive_minima
@@ -26,6 +31,46 @@ from strategies import (boxes, ellipsoids, hpolytopes, int_matrices,
                         shear_unimodulars)
 
 F = Fraction
+
+
+def _one_sided(pairs):
+    """The one-sided rows ``c . x <= r`` and ``-c . x <= r`` of each pair
+    ``|c . x| <= r``, in order."""
+    return [row for c, r in pairs
+            for row in ((c, r), (tuple(-e for e in c), r))]
+
+
+def _positive_side(rows):
+    """The one-sided rows whose last nonzero coefficient is positive: the
+    pairs of a symmetric one-sided system, turned as ``_tightest`` turns
+    them."""
+    return [(c, r) for c, r in rows if next(e for e in reversed(c) if e) > 0]
+
+
+def _poly_interval_reference(rows, prefix, k):
+    """Integer range of coordinate ``k`` under the one-sided rows ``c . x
+    <= r`` at ``prefix`` (the definition); ``None`` when it is empty."""
+    lo = None
+    hi = None
+    for coeffs, rhs in rows:
+        r = rhs - sum(c * p for c, p in zip(coeffs, prefix))
+        cj = coeffs[k]
+        if cj == 0:
+            if r < 0:
+                return None
+        elif cj > 0:
+            b = r // cj
+            if hi is None or b < hi:
+                hi = b
+        else:
+            b = -(r // (-cj))
+            if lo is None or b > lo:
+                lo = b
+    if lo is None or hi is None:
+        raise InvalidBodyError("unbounded enumeration interval")
+    if lo > hi:
+        return None
+    return lo, hi
 
 
 def _prune_rows_reference(rows):
@@ -48,9 +93,9 @@ def _prune_rows_reference(rows):
 
 
 def _top_rows_reference(body):
-    """The rows ``+-a_i . x <= 1`` of the rational normals, each scaled by
-    a positive rational to primitive integers with ``Fraction`` arithmetic,
-    then pruned of parallel rows (the definition)."""
+    """The one-sided rows ``+-a_i . x <= 1`` of the rational normals, each
+    scaled by a positive rational to primitive integers with ``Fraction``
+    arithmetic, then pruned of parallel rows (the definition)."""
     rows = []
     for normal in body.normals.entries:
         lcm = math.lcm(*(c.denominator for c in normal))
@@ -63,8 +108,9 @@ def _top_rows_reference(body):
 
 
 def _eliminate_reference(rows, width):
-    """Fourier-Motzkin elimination of variable ``width - 1`` with every
-    combination kept, pruned only of parallel rows (the definition)."""
+    """Fourier-Motzkin elimination of variable ``width - 1`` of one-sided
+    rows with every combination kept, pruned only of parallel rows (the
+    definition)."""
     out = [(c[:width - 1], r) for c, r in rows if c[width - 1] == 0]
     for cp, bp in rows:
         for cn, bn in rows:
@@ -77,7 +123,8 @@ def _eliminate_reference(rows, width):
 
 
 def _cascade_reference(top_rows):
-    """The projection cascade with no history pruning, by width."""
+    """The one-sided projection cascade with no history pruning, by
+    width."""
     systems = [list(top_rows)]
     for width in range(len(top_rows[0][0]), 1, -1):
         systems.append(_eliminate_reference(systems[-1], width))
@@ -86,11 +133,13 @@ def _cascade_reference(top_rows):
 
 
 def _same_intervals(got, want, k, mu=2, window=2):
-    """Do ``got`` and ``want`` give coordinate ``k`` the same integer range
-    in the ``mu`` dilate at every prefix in ``[-window, window]^k``?"""
+    """Do the pairs ``got`` of a cascade level and the one-sided rows
+    ``want`` give coordinate ``k`` the same integer range in the ``mu``
+    dilate at every prefix in ``[-window, window]^k``?"""
     got = [(c, r * mu) for c, r in got]
     want = [(c, r * mu) for c, r in want]
-    return all(_poly_interval(got, prefix, k) == _poly_interval(want, prefix, k)
+    return all(_poly_interval(got, prefix, k) ==
+               _poly_interval_reference(want, prefix, k)
                for prefix in itertools.product(range(-window, window + 1),
                                                repeat=k))
 
@@ -145,8 +194,10 @@ class TestPolytopeViews:
         # A view's rows are read from its integer normals too.
         body, u = case
         view = body.preimage(u)
-        assert body._top_rows == _top_rows_reference(body)
-        assert view._top_rows == _top_rows_reference(view)
+        for poly in (body, view):
+            want = _top_rows_reference(poly)
+            assert poly._top_rows == tuple(_positive_side(want))
+            assert sorted(_one_sided(poly._top_rows)) == sorted(want)
 
     @given(dims.flatmap(boxes))
     def test_box_polytope_matches_its_constructor(self, box):
@@ -158,7 +209,8 @@ class TestPolytopeViews:
         assert vars(got).keys() == {"_integer_normals"}
         assert got == want and hash(got) == hash(want)
         assert repr(got) == repr(want)
-        assert got._top_rows == want._top_rows == _top_rows_reference(want)
+        assert got._top_rows == want._top_rows == \
+            tuple(_positive_side(_top_rows_reference(want)))
         assert got._cascade == want._cascade
 
     @given(dims.flatmap(lambda d: st.tuples(rational_polytopes(d),
@@ -178,7 +230,7 @@ class TestCascadePruning:
     def test_levels_match_unpruned_cascade(self, case):
         body, u = case
         view = body.preimage(u)
-        want = _cascade_reference(view._top_rows)
+        want = _cascade_reference(_one_sided(view._top_rows))
         for k, (got, ref) in enumerate(zip(view._cascade, want)):
             assert _same_intervals(got, ref, k), f"level {k} differs"
 
@@ -191,26 +243,86 @@ class TestCascadePruning:
         body, u = case
         levels = body.preimage(u)._cascade
         for k in range(body.dim - 1):
-            ref = _eliminate_reference(levels[k + 1], k + 2)
+            ref = _eliminate_reference(_one_sided(levels[k + 1]), k + 2)
             assert _same_intervals(levels[k], ref, k), f"level {k} differs"
 
     def test_tied_parallel_rows_keep_the_smaller_set(self):
-        # x0 <= 1 is original row 16 and also the sum of rows 1 and 2.
-        rows = [((1, 1), 1), ((1, -1), 1), ((-1, 1), 1), ((-1, -1), 1),
-                ((1, 0), 1)]
-        assert _eliminate_last(rows, [1, 2, 4, 8, 16], 2, 2) == \
-            ([((1,), 1), ((-1,), 1)], [16, 12])
+        # |x0| <= 1 is original pair 2 and also the combination of pairs 0
+        # and 1, x0 + x1 <= 1 (bit 1) with -(x1 - x0) <= 1 (the - side of
+        # pair 1, bit 2 << 3); the tie keeps the smaller set.
+        rows = [((1, 1), 1), ((-1, 1), 1), ((1, 0), 1)]
+        assert _eliminate_last(rows, [1, 2, 4], 2, 2, 3) == \
+            ([((1,), 1)], [4])
+        # Turning pair 2 over mirrors its set: bit 4 << 3 on the + side.
+        rows[2] = ((-1, 0), 1)
+        assert _eliminate_last(rows, [1, 2, 4], 2, 2, 3) == \
+            ([((1,), 1)], [32])
+
+    def test_kohler_reads_the_mirrored_sets(self):
+        # Level 1 of this dim-5 polytope gets a row whose set strictly
+        # contains the mirror of another kept row's set, but not that set.
+        # The one-sided cascade (2/8/20/30/14 rows) drops it, so the pairs
+        # number 1/4/10/15/7; read without the mirrors, Kohler's rule would
+        # keep a fifth pair on level 1.
+        rows = (((1, 1, 0, 0, 0), 2), ((-1, 0, 1, 1, 1), 1),
+                ((-1, -1, 1, 1, 1), 3), ((0, 1, 0, 1, 1), 2),
+                ((-1, 0, 0, 1, 1), 3), ((1, 1, -1, -1, 1), 3),
+                ((1, -1, 0, 0, 1), 2))
+        body = HPolytope(Matrix.from_rows([[F(c, r) for c in coeffs]
+                                           for coeffs, r in rows]))
+        assert body._top_rows == rows
+        assert [len(level) for level in body._cascade] == [1, 4, 10, 15, 7]
 
     def test_dim5_polytope_levels_stay_small(self):
         # The third spec of plan_instances(7, 8, [5, 6], "hpolytope", 5);
-        # with parallel-row pruning alone its levels hold 10/20/50/300/2
-        # rows, top level first.
+        # with parallel-row pruning alone its levels hold 5/10/25/150/1
+        # pairs, top level first.
         body, lattice = generate(InstanceSpec(
             seed=16616101746815609346, dim=5, body_kind="hpolytope",
             coeff_range=5, lattice_kind="identity"))
         assert lattice.basis == Matrix.identity(5)
         sizes = [len(level) for level in body._cascade]
-        assert sizes[-1] == 10 and max(sizes) <= 40
+        assert sizes[-1] == 5 and max(sizes) <= 20
+
+
+def _vertex_extents(poly):
+    """``max |y_i|`` over the vertices of ``{y : |N y| <= 1}`` for the
+    normals ``N`` of ``poly``, by coordinate: each vertex solves ``N_S y =
+    s`` for a set ``S`` of ``d`` independent rows and signs ``s``, and is
+    kept when it satisfies every row.  Reads only the normals."""
+    normals = poly.normals.entries
+    dim = len(normals[0])
+    extents = [F(0)] * dim
+    for subset in itertools.combinations(normals, dim):
+        square = Matrix.from_rows(subset)
+        if square.det() == 0:
+            continue
+        inverse = square.inverse()
+        for signs in itertools.product((-1, 1), repeat=dim):
+            y = inverse.apply(signs)
+            if all(abs(sum(a * v for a, v in zip(row, y))) <= 1
+                   for row in normals):
+                extents = [max(e, abs(v)) for e, v in zip(extents, y)]
+    return tuple(extents)
+
+
+class TestAxisExtents:
+    """Level 0 of the cascade bounds the walks and, through
+    ``axis_extent_bounds``, the oracles' scan cubes; it must be the exact
+    extent of the body, computed here from its vertices, never from a
+    cascade."""
+
+    @given(dims.flatmap(lambda d: st.tuples(
+        st.one_of(rational_polytopes(d), boxes(d)), lattices(d),
+        st.booleans())))
+    def test_level0_extent_is_the_vertex_extent(self, case):
+        body, lattice, as_view = case
+        if as_view:
+            body = body.preimage(lattice.basis)
+        poly = body.polytope() if isinstance(body, Box) else body
+        want = _vertex_extents(poly)
+        assert min(F(r, abs(c[0])) for c, r in poly._cascade[0]) == want[0]
+        assert axis_extent_bounds(poly, Lattice.standard(poly.dim)) == want
 
 
 class TestEllipsoidViews:
@@ -379,9 +491,7 @@ class TestTransforms:
         a = Matrix.diagonal([2, F(1, 2)])
         pre = self.SQUARE.preimage(a)
         assert "_top_rows" not in vars(pre)
-        assert pre._top_rows == (
-            ((2, 0), 1), ((-2, 0), 1), ((0, 1), 2), ((0, -1), 2),
-            ((4, 1), 2), ((-4, -1), 2))
+        assert pre._top_rows == (((2, 0), 1), ((0, 1), 2), ((4, 1), 2))
         assert pre == HPolytope(self.SQUARE.normals @ a)
         pre = self.DISK.preimage(Matrix.diagonal([F(1, 2), 1]))
         assert vars(pre)["_integer_gram"] == (((1, 1), (1, 6)), 2)
@@ -439,10 +549,12 @@ class TestTransforms:
 
 class TestPruneRows:
     def test_parallel_rows_at_different_scales(self):
+        # (-1, -2) is the pair (1, 2) turned over.
         rows = [((2, 4), 3), ((1, 2), 2), ((3, 6), 4), ((-1, -2), 5),
                 ((0, 3), 1)]
-        assert _prune_rows(rows) == _prune_rows_reference(rows) == \
-            [((3, 6), 4), ((-1, -2), 5), ((0, 3), 1)]
+        assert _prune_rows(rows) == \
+            _positive_side(_prune_rows_reference(_one_sided(rows))) == \
+            [((3, 6), 4), ((0, 3), 1)]
 
     def test_zero_rows(self):
         assert _prune_rows([((0, 0), 0), ((0, 0), 2), ((1, 0), 1)]) == \
@@ -455,12 +567,12 @@ class TestPruneRows:
                               st.integers(-20, 20)), max_size=12))
     def test_matches_fraction_reference(self, rows):
         try:
-            want = _prune_rows_reference(rows)
+            want = _prune_rows_reference(_one_sided(rows))
         except InvalidBodyError:
             with pytest.raises(InvalidBodyError):
                 _prune_rows(rows)
             return
-        assert _prune_rows(rows) == want
+        assert _prune_rows(rows) == _positive_side(want)
 
 
 def _key_bound_reference(key_bound, gauge):
