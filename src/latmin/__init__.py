@@ -7,12 +7,11 @@ anywhere.  See the README for the command-line interface.
 """
 
 from .bodies import (Box, Ellipsoid, HPolytope, InvalidBodyError,
-                     SymmetricBody, contains, corner_gauge_bound,
-                     volume_estimate)
+                     SymmetricBody, corner_gauge_bound, volume_estimate)
 from .bounds import (DivisorChain, FloorTerms, chain_sublattice,
-                     conjecture_rhs, divisor_chain, first_bound_derivation,
-                     first_bound_rhs, floor_term, floor_terms, kernel_check,
-                     lemma_bound, main_bound_rhs, minkowski_first_check,
+                     conjecture_rhs, divisor_chain, first_bound_rhs,
+                     floor_term, floor_terms, kernel_check, lemma_bound,
+                     main_bound_rhs, minkowski_first_check,
                      minkowski_second_check, riemann_slack)
 from .enumeration import (PointSet, count_oracle, count_points,
                           enclosing_radius, enumerate_points)
@@ -34,13 +33,13 @@ __all__ = [
     "Lattice", "Matrix", "MinimaResult", "PointSet", "SingularMatrixError",
     "SplitMix64", "Sublattice", "SymmetricBody", "VerificationReport",
     "align_witnesses", "campaign", "canonicalize", "chain_sublattice",
-    "conjecture_rhs", "contains", "corner_gauge_bound", "count_oracle",
-    "count_points", "divisor_chain", "enclosing_radius", "enumerate_points",
-    "first_bound_derivation", "first_bound_rhs", "floor_term", "floor_terms",
-    "generate", "kernel_check", "lemma_bound", "main_bound_rhs",
-    "minkowski_first_check", "minkowski_second_check", "oracle_campaign",
-    "plan_instances", "riemann_slack", "successive_minima", "summarize",
-    "verify", "verify_spec", "volume_estimate",
+    "conjecture_rhs", "corner_gauge_bound", "count_oracle", "count_points",
+    "divisor_chain", "enclosing_radius", "enumerate_points",
+    "first_bound_rhs", "floor_term", "floor_terms", "generate",
+    "kernel_check", "lemma_bound", "main_bound_rhs", "minkowski_first_check",
+    "minkowski_second_check", "oracle_campaign", "plan_instances",
+    "riemann_slack", "successive_minima", "summarize", "verify",
+    "verify_spec", "volume_estimate",
 ]
 
 __version__ = "0.1.0"

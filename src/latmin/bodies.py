@@ -289,10 +289,6 @@ class Box:
             max((abs(_frac(v)) / w for v, w in zip(x, self.halfwidths)),
                 default=Fraction(0)))
 
-    def scale(self, mu: "Scalar | GaugeValue") -> "Box":
-        mu = _rational_scale(mu, "box")
-        return Box(tuple(w * mu for w in self.halfwidths))
-
     def preimage(self, a: Transform) -> "SymmetricBody":
         """The body ``{y : a @ y in self}`` (gauge pulled back through ``a``,
         a rational :class:`Matrix` or integer rows): a box for a monomial
@@ -368,10 +364,6 @@ class HPolytope:
         return GaugeValue.rational(Fraction(
             max(abs(sum(c * v for c, v in zip(row, xs) if v)) for row in z),
             d * e))
-
-    def scale(self, mu: "Scalar | GaugeValue") -> "HPolytope":
-        mu = _rational_scale(mu, "hpolytope")
-        return HPolytope(self.normals.scaled(Fraction(1) / mu))
 
     def preimage(self, a: Transform) -> "HPolytope":
         """The body ``{y : a @ y in self}``, i.e. normals ``self.normals @ a``,
@@ -479,17 +471,6 @@ class Ellipsoid:
     def gauge(self, x: Sequence[Scalar]) -> GaugeValue:
         return GaugeValue.sqrt_of(self.gauge_squared(x))
 
-    def scale(self, mu: "Scalar | GaugeValue") -> "Ellipsoid":
-        if isinstance(mu, GaugeValue):
-            sq = mu.squared()
-            if sq <= 0:
-                raise ValueError("scale factor must be positive")
-            return Ellipsoid(self.gram.scaled(Fraction(1) / sq))
-        mu = _frac(mu)
-        if mu <= 0:
-            raise ValueError("scale factor must be positive")
-        return Ellipsoid(self.gram.scaled(Fraction(1) / (mu * mu)))
-
     def preimage(self, a: Transform) -> "Ellipsoid":
         """The body ``{y : a @ y in self}``, with Gram matrix ``a^T Q a``,
         for a rational :class:`Matrix` or integer rows ``a``.
@@ -538,19 +519,6 @@ SymmetricBody = Union[Box, HPolytope, Ellipsoid]
 # shared operations
 
 
-def _rational_scale(mu: "Scalar | GaugeValue", kind: str) -> Fraction:
-    if isinstance(mu, GaugeValue):
-        try:
-            mu = mu.as_rational()
-        except ValueError:
-            raise ValueError(
-                f"cannot scale a {kind} by an irrational factor exactly")
-    mu = _frac(mu)
-    if mu <= 0:
-        raise ValueError("scale factor must be positive")
-    return mu
-
-
 def _integer_basis(a: Transform, dim: int) -> IntForm:
     """Validate a ``preimage`` transform, square of size ``dim`` and
     nonsingular, and write it as ``Z / D``: returns ``(Z, D)`` with ``Z``
@@ -582,14 +550,6 @@ def _derived(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(body, name, value)
     return body
-
-
-def contains(body: SymmetricBody, lam: "Scalar | GaugeValue",
-             x: Sequence[Scalar], strict: bool = False) -> bool:
-    """Is ``x`` in ``lam * body`` (interior if ``strict``)?"""
-    g = body.gauge(x)
-    lam = GaugeValue.coerce(lam)
-    return g < lam if strict else g <= lam
 
 
 def volume_estimate(body: SymmetricBody, lattice: Lattice,

@@ -57,12 +57,6 @@ class DivisorChain:
     def dim(self) -> int:
         return len(self.terms)
 
-    def product(self) -> int:
-        p = 1
-        for n in self.terms:
-            p *= n
-        return p
-
 
 def _minima_list(minima: "MinimaResult | Sequence[GaugeValue]",
                  ) -> tuple[GaugeValue, ...]:
@@ -135,16 +129,14 @@ def chain_sublattice(chain: DivisorChain, parent: Lattice) -> Sublattice:
     return Sublattice(parent, Matrix.diagonal(chain.terms))
 
 
-def kernel_check(body: SymmetricBody, chain: DivisorChain,
-                 parent: Lattice | None = None) -> bool:
+def kernel_check(body: SymmetricBody, chain: DivisorChain) -> bool:
     """Does ``2 * body`` meet the chain sublattice only at the origin?
 
     ``body`` is expected to be a canonical instance body (standard lattice).
     A ``False`` here contradicts the supporting argument for the main bound
     and should be treated as an implementation alarm by callers.
     """
-    parent = parent or Lattice.standard(body.dim)
-    sub = chain_sublattice(chain, parent)
+    sub = chain_sublattice(chain, Lattice.standard(body.dim))
     return count_points(body, sub.as_lattice(), GaugeValue.rational(2)) == 1
 
 
@@ -161,22 +153,6 @@ def lemma_bound(body: SymmetricBody, lattice: Lattice,
     lhs = count_points(body, lattice, GaugeValue.rational(1))
     inner = count_points(body, sub.as_lattice(), GaugeValue.rational(2))
     return lhs, sub.index * inner
-
-
-def first_bound_derivation(body: SymmetricBody, lattice: Lattice,
-                           minima: "MinimaResult | Sequence[GaugeValue]",
-                           ) -> tuple[int, int, int]:
-    """Re-derive the first-minimum bound through the residue lemma.
-
-    Uses the sublattice ``q_1 * lattice``: returns ``(count, kernel_size,
-    rhs)`` where ``rhs = q_1^d * kernel_size``.  When the kernel size is 1
-    this is exactly the ``q_1 ** d`` bound.
-    """
-    q1 = floor_terms(minima).terms[0]
-    sub = Sublattice(lattice, Matrix.diagonal([q1] * lattice.dim))
-    count = count_points(body, lattice, GaugeValue.rational(1))
-    kernel_size = count_points(body, sub.as_lattice(), GaugeValue.rational(2))
-    return count, kernel_size, sub.index * kernel_size
 
 
 # ---------------------------------------------------------------------------

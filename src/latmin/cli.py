@@ -19,8 +19,8 @@ Wire format notes
 Exit codes
     0 success / all asserted checks pass
     1 an asserted check failed (or the oracle cross-check disagreed)
-    2 input error (malformed, non-UTF-8 or too deeply nested file, bad
-      flag value)
+    2 input error (a file or ``--mu`` that is not UTF-8 or cannot be
+      decoded as JSON, malformed data, a bad flag value)
     3 invariant violation (rank-deficient normals, singular basis, ...)
     4 bug alarm (a kernel check failed, contradicting the proof machinery)
       or internal error (a failed self-check or any other unexpected
@@ -194,6 +194,19 @@ def parse_instance(doc: Any) -> tuple[SymmetricBody, Lattice]:
     return body, lattice
 
 
+def _decode_json(text: str, where: str) -> Any:
+    """``json.loads(text)``, with every text it cannot decode an input
+    error whose message starts with ``where``: malformed JSON, nesting
+    past the recursion limit, and integers past the interpreter's digit
+    limit, whose ``ValueError`` is not a ``JSONDecodeError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError(f"{where}invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise ParseError(f"{where}invalid JSON: {exc}") from None
+
+
 def load_instance(path: str | None) -> tuple[SymmetricBody, Lattice]:
     try:
         if path is None or path == "-":
@@ -203,13 +216,7 @@ def load_instance(path: str | None) -> tuple[SymmetricBody, Lattice]:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply") from None
-    return parse_instance(doc)
+    return parse_instance(_decode_json(text, ""))
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +227,6 @@ def spec_to_json(spec: InstanceSpec) -> dict:
     return {"seed": str(spec.seed), "dim": spec.dim,
             "body_kind": spec.body_kind, "coeff_range": spec.coeff_range,
             "lattice_kind": spec.lattice_kind}
-
-
-def spec_from_json(doc: Any, path: str = "$.instance") -> InstanceSpec:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
-    keys = {"seed", "dim", "body_kind", "coeff_range", "lattice_kind"}
-    _require_keys(doc, keys, keys, path)
-    try:
-        return InstanceSpec(seed=int(doc["seed"]), dim=doc["dim"],
-                            body_kind=doc["body_kind"],
-                            coeff_range=doc["coeff_range"],
-                            lattice_kind=doc["lattice_kind"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
 
 
 def report_to_json(report: VerificationReport) -> dict:
@@ -258,31 +251,6 @@ def report_to_json(report: VerificationReport) -> dict:
         else format_rational(report.tightness_ratio),
         "alerts": list(report.alerts),
     }
-
-
-def report_from_json(doc: Any) -> VerificationReport:
-    """Inverse of :func:`report_to_json` (lossless round trip)."""
-    if not isinstance(doc, dict):
-        raise ParseError("$: report must be a JSON object")
-    spec = None if doc["instance"] is None else spec_from_json(doc["instance"])
-    minima = tuple(gauge_from_json(g, f"$.minima[{i}]")
-                   for i, g in enumerate(doc["minima"]))
-    main = doc["bounds"]["main"]
-    ratio = doc["tightness_ratio"]
-    return VerificationReport(
-        spec=spec, dim=doc["dim"], body_kind=doc["body_kind"], minima=minima,
-        witnesses=tuple(tuple(int(c) for c in w) for w in doc["witnesses"]),
-        count=int(doc["count"]),
-        first_bound=int(doc["bounds"]["first"]),
-        conjecture_bound=int(doc["bounds"]["conjecture"]),
-        main_bound=None if main is None else int(main),
-        lemma_lhs=int(doc["lemma"]["lhs"]), lemma_rhs=int(doc["lemma"]["rhs"]),
-        chain=tuple(int(n) for n in doc["chain"]),
-        checks={name: doc["checks"][name] for name in CHECK_NAMES},
-        conjecture_observed=bool(doc["conjecture_observed"]),
-        tightness_ratio=None if ratio is None
-        else Fraction(parse_rational(ratio, "$.tightness_ratio")),
-        alerts=tuple(doc["alerts"]))
 
 
 def _emit(doc: Any, out: TextIO) -> None:
@@ -325,10 +293,7 @@ def _parse_mu(text: str) -> GaugeValue:
     ``{"sqrt": "P/Q"}`` that ``succmin`` prints."""
     value: Any = text
     if text.lstrip().startswith("{"):
-        try:
-            value = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"--mu: invalid JSON: {exc}") from None
+        value = _decode_json(text, "--mu: ")
     return gauge_from_json(value, "--mu")
 
 

@@ -322,13 +322,14 @@ def _levels(view: "Ellipsoid | HPolytope"):
 # box closed forms
 
 
-def _axis_range(w: Fraction, mu: GaugeValue, strict: bool) -> range:
-    """The integers ``t`` with ``|t| <= mu*w`` (``<`` when strict): with
-    ``mu^2 = p/q`` that is ``t^2 <= w^2 p/q``."""
+def _axis_bound(w: Fraction, mu: GaugeValue, strict: bool) -> int:
+    """The largest integer ``m`` with ``m <= mu*w`` (``<`` when strict):
+    with ``mu^2 = p/q`` that is ``m^2 <= w^2 p/q``.  The axis holds the
+    ``2*m + 1`` integers ``-m..m``; ``len`` of their ``range`` would raise
+    past ``sys.maxsize``."""
     sq = mu.squared()
-    m = _isqrt_bound(w.numerator ** 2 * sq.numerator,
-                     w.denominator ** 2 * sq.denominator, strict)
-    return range(-m, m + 1)
+    return _isqrt_bound(w.numerator ** 2 * sq.numerator,
+                        w.denominator ** 2 * sq.denominator, strict)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ def open_point_outside(view: SymmetricBody, mu: GaugeValue, flat: int) -> bool:
     if not 1 <= flat <= view.dim:
         raise ValueError("flat must be in 1..dim")
     if isinstance(view, Box):
-        return any(len(_axis_range(w, mu, True)) > 1
+        return any(_axis_bound(w, mu, True) > 0
                    for w in view.halfwidths[:flat])
     interval = _dilate_interval(view, mu, True)
 
@@ -397,7 +398,7 @@ def count_points(body: SymmetricBody, lattice: Lattice,
     if isinstance(zbody, Box):
         total = 1
         for w in zbody.halfwidths:
-            total *= len(_axis_range(w, mu, strict))
+            total *= 2 * _axis_bound(w, mu, strict) + 1
         return total
     return sum(hi - lo + 1 for _, lo, hi in _dilate_runs(zbody, mu, strict))
 
@@ -417,8 +418,9 @@ def enumerate_points(body: SymmetricBody, lattice: Lattice,
         return PointSet(dim, lattice, pts)
     zbody = _standard_body(body, lattice)
     if isinstance(zbody, Box):
-        ranges = [_axis_range(w, mu, strict) for w in zbody.halfwidths]
-        return PointSet(dim, lattice, tuple(itertools.product(*ranges)))
+        axes = [_axis_bound(w, mu, strict) for w in zbody.halfwidths]
+        return PointSet(dim, lattice, tuple(itertools.product(
+            *(range(-m, m + 1) for m in axes))))
     return PointSet(dim, lattice, tuple(
         prefix + (t,) for prefix, lo, hi in _dilate_runs(zbody, mu, strict)
         for t in range(lo, hi + 1)))
@@ -556,12 +558,18 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
     (initially that of ``mu``), rebuilt whenever that key shrinks, and each
     interval is scanned center-out so the bound tightens after the first
     root-to-leaf path.  The subspace is left out by giving coordinate
-    ``flat`` an empty interval when the prefix is zero.  On the final
-    coordinate the tied points form a contiguous run whose preferred image
-    is located analytically, so neither time nor memory grows with the
-    number of lattice points on a tied gauge face.  A box is searched as the
-    polytope with the pairs ``|d x_i| <= n`` for ``w_i = n/d``, whose
-    integer key is exactly the box's.
+    ``flat`` an empty interval when the prefix is zero.
+
+    The last level is the key set itself, so every leaf run holds only
+    points of key at most the best.  A run whose least key (the key is
+    convex along the run) equals the best is tied throughout; one whose
+    least key is smaller improves the best, the levels are rebuilt at the
+    new key, and the tied part of the run is its meet with the last level's
+    interval at its prefix.  The preferred image of a tied run is located
+    analytically, so neither time nor memory grows with the number of
+    lattice points on a tied gauge face.  A box is searched as the polytope
+    with the pairs ``|d x_i| <= n`` for ``w_i = n/d``, whose integer key is
+    exactly the box's.
     """
     if not 1 <= flat <= view.dim:
         raise ValueError("flat must be in 1..dim")
@@ -570,24 +578,48 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
     if isinstance(view, Box):
         view = view.polytope()
     build, interval, run_key, key_bound, to_gauge = _levels(view)
-    state = _OutsideState(key_bound(mu * mu, 1, False))
+    best = key_bound(mu * mu, 1, False)
+    champion = None  # (preference, canonical image) of the best point
     built_for = None
 
     def level(k: int, prefix: IntPoint) -> Bounds:
         nonlocal built_for
         if k == flat and not any(prefix):
             return None
-        if built_for != state.best:
-            built_for = state.best
-            build(built_for)
+        if built_for != best:
+            built_for = best
+            build(best)
         return interval(k, prefix)
 
+    last = view.dim - 1
     whole = flat == view.dim
     for prefix, lo, hi in _walk(view.dim, level, _centered):
-        base, dirv = _image_run(image_rows, prefix)
-        state.absorb_run(lo, hi, run_key(prefix), base, dirv,
-                         whole and not any(prefix))
-    return state.result(to_gauge)
+        key_at = run_key(prefix)
+        runs = (((lo, -1), (1, hi)) if whole and not any(prefix)
+                else ((lo, hi),))
+        for a, b in runs:
+            if a > b:
+                continue
+            k_run = _convex_int_min(a, b, key_at)
+            # Only the half after an improving half can lie above the best.
+            if k_run > best:
+                continue
+            if k_run < best:
+                best = built_for = k_run
+                champion = None
+                build(best)
+                tied = interval(last, prefix)
+                a, b = max(a, tied[0]), min(b, tied[1])
+            base, dirv = _image_run(image_rows, prefix)
+            for t in _run_tie_candidates(a, b, base, dirv):
+                x = _sign_canonical(tuple(bs + t * dv
+                                          for bs, dv in zip(base, dirv)))
+                entry = (tuple(abs(c) for c in reversed(x)), x)
+                if champion is None or entry < champion:
+                    champion = entry
+    if champion is None:
+        return None
+    return to_gauge(best), champion[1]
 
 
 def _centered(lo: int, hi: int) -> Iterator[int]:
@@ -621,45 +653,15 @@ def _sign_canonical(p: IntPoint) -> IntPoint:
     return p
 
 
-def _convex_int_min(lo: int, hi: int, f) -> tuple[int, int]:
-    """A minimizer of a convex integer-valued function on ``lo..hi``."""
+def _convex_int_min(lo: int, hi: int, f) -> int:
+    """The minimum of a convex integer-valued function on ``lo..hi``."""
     while hi - lo > 2:
         mid = (lo + hi) // 2
         if f(mid) <= f(mid + 1):
             hi = mid
         else:
             lo = mid + 1
-    t_best = lo
-    v_best = f(lo)
-    for t in range(lo + 1, hi + 1):
-        v = f(t)
-        if v < v_best:
-            t_best, v_best = t, v
-    return t_best, v_best
-
-
-def _left_edge(lo: int, t_min: int, f, bound: int) -> int:
-    """Smallest ``t`` with ``f(t) <= bound``; ``f`` nonincreasing on the range."""
-    hi = t_min
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if f(mid) <= bound:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _right_edge(t_min: int, hi: int, f, bound: int) -> int:
-    """Largest ``t`` with ``f(t) <= bound``; ``f`` nondecreasing on the range."""
-    lo = t_min
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if f(mid) <= bound:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return min(map(f, range(lo, hi + 1)))
 
 
 def _run_tie_candidates(a: int, b: int, base: IntPoint,
@@ -691,52 +693,6 @@ def _run_tie_candidates(a: int, b: int, base: IntPoint,
     if cand is None:
         cand = [a]
     return cand
-
-
-class _OutsideState:
-    """Running minimum of a subspace-avoiding search.
-
-    ``best`` is the smallest integer gauge key seen; ``champion`` pairs the
-    preference tuple with the canonical image point realizing it.
-    """
-
-    __slots__ = ("best", "champion")
-
-    def __init__(self, best: int):
-        self.best = best
-        self.champion: tuple | None = None
-
-    def absorb_run(self, a0: int, b0: int, key_at, base: IntPoint,
-                   dirv: IntPoint, skip_zero: bool) -> None:
-        """Fold the leaf run ``t in a0..b0`` (all with key <= best) in.
-
-        ``key_at(t)`` is convex; the run minimum is located by bisection,
-        the tied sub-interval recovered exactly, and its preferred image
-        chosen analytically.
-        """
-        runs = ((a0, -1), (1, b0)) if skip_zero else ((a0, b0),)
-        for a, b in runs:
-            if a > b:
-                continue
-            t_min, k_run = _convex_int_min(a, b, key_at)
-            if k_run > self.best:
-                continue
-            if k_run < self.best:
-                self.best = k_run
-                self.champion = None
-                a = _left_edge(a, t_min, key_at, k_run)
-                b = _right_edge(t_min, b, key_at, k_run)
-            for t in _run_tie_candidates(a, b, base, dirv):
-                x = _sign_canonical(tuple(bs + t * dv
-                                          for bs, dv in zip(base, dirv)))
-                entry = (tuple(abs(c) for c in reversed(x)), x)
-                if self.champion is None or entry < self.champion:
-                    self.champion = entry
-
-    def result(self, to_gauge):
-        if self.champion is None:
-            return None
-        return to_gauge(self.best), self.champion[1]
 
 
 def _image_run(image_rows: tuple[IntPoint, ...],

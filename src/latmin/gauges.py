@@ -61,16 +61,6 @@ class GaugeValue:
         """The exact square, always rational."""
         return self.value if self.is_sqrt else self.value * self.value
 
-    def as_rational(self) -> Fraction:
-        """Exact rational value; raises for irrational sqrt-kind values."""
-        if not self.is_sqrt:
-            return self.value
-        num, den = self.value.numerator, self.value.denominator
-        rn, rd = _exact_isqrt(num), _exact_isqrt(den)
-        if rn is None or rd is None:
-            raise ValueError(f"{self!r} is irrational")
-        return Fraction(rn, rd)
-
     def is_zero(self) -> bool:
         return self.value == 0
 
@@ -134,10 +124,3 @@ class GaugeValue:
 
 GaugeValue.ZERO = GaugeValue.rational(0)
 
-
-def _exact_isqrt(n: int) -> int | None:
-    """Integer square root if ``n`` is a perfect square, else ``None``."""
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None

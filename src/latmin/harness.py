@@ -19,6 +19,10 @@ Statuses are ``pass``/``fail``/``reported``/``skipped``.  The product bound
 other dimensions its observed truth value is recorded but never failed.  A
 failing kernel check contradicts the supporting argument for the main bound
 and is escalated as a bug alarm rather than treated as a counterexample.
+
+The estimate-mode volume checks count the body at the fixed grid
+``VOLUME_RESOLUTION = 1/32`` and widen the theorem by the surface slack of
+that grid (:func:`~latmin.bounds.riemann_slack`).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .minima import (CanonicalInstance, align, canonicalize,
 
 MAX_DIM = 6
 MAX_COEFF_RANGE = 16
+VOLUME_RESOLUTION = Fraction(1, 32)
 
 BODY_KINDS = ("box", "hpolytope", "ellipsoid")
 LATTICE_KINDS = ("identity", "diagonal", "random-unimodular-times-diagonal")
@@ -250,14 +255,13 @@ def _witnesses_valid(canon: CanonicalInstance) -> bool:
 
 def verify(body: SymmetricBody, lattice: Lattice,
            spec: InstanceSpec | None = None, *,
-           minkowski: str = "auto",
-           volume_resolution: Fraction = Fraction(1, 32)) -> VerificationReport:
+           minkowski: str = "auto") -> VerificationReport:
     """Run the full pipeline on one instance and grade every check.
 
     ``minkowski`` controls the volume theorems for non-box shapes, whose
     volume is only available through the Riemann estimate: ``"auto"`` skips
     them (boxes are always checked exactly), ``"estimate"`` checks them with
-    the estimate at ``volume_resolution`` and the documented surface slack,
+    the estimate at :data:`VOLUME_RESOLUTION` and its surface slack,
     ``"skip"`` skips them for every shape.
     """
     if minkowski not in ("auto", "estimate", "skip"):
@@ -299,8 +303,8 @@ def verify(body: SymmetricBody, lattice: Lattice,
         checks["mink-2"] = ("pass" if minkowski_second_check(mins, vol, det)
                             else "fail")
     elif minkowski == "estimate":
-        est = volume_estimate(body, lattice, volume_resolution)
-        slack = riemann_slack(body, lattice, volume_resolution)
+        est = volume_estimate(body, lattice, VOLUME_RESOLUTION)
+        slack = riemann_slack(body, lattice, VOLUME_RESOLUTION)
         det = lattice.determinant
         checks["mink-1"] = ("pass" if
                             minkowski_first_check(mins, est, det, slack)
@@ -331,12 +335,10 @@ def verify(body: SymmetricBody, lattice: Lattice,
         alerts=alerts)
 
 
-def verify_spec(spec: InstanceSpec, *, minkowski: str = "auto",
-                volume_resolution: Fraction = Fraction(1, 32),
-                ) -> VerificationReport:
+def verify_spec(spec: InstanceSpec, *,
+                minkowski: str = "auto") -> VerificationReport:
     body, lattice = generate(spec)
-    return verify(body, lattice, spec, minkowski=minkowski,
-                  volume_resolution=volume_resolution)
+    return verify(body, lattice, spec, minkowski=minkowski)
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,6 @@ class CampaignSummary:
     bug_alarms: tuple[int, ...]
     max_tightness: Fraction | None
     max_tightness_seed: int | None
-    conjecture_violations: tuple[InstanceSpec, ...]
 
 
 def summarize(reports: Sequence[VerificationReport]) -> CampaignSummary:
@@ -362,21 +363,15 @@ def summarize(reports: Sequence[VerificationReport]) -> CampaignSummary:
                                               r.tightness_ratio > best):
             best = r.tightness_ratio
             best_seed = r.spec.seed if r.spec else None
-    violations = tuple(r.spec for r in reports
-                       if r.spec and not r.conjecture_observed)
     return CampaignSummary(total=len(reports), failures=failures,
                            bug_alarms=alarms, max_tightness=best,
-                           max_tightness_seed=best_seed,
-                           conjecture_violations=violations)
+                           max_tightness_seed=best_seed)
 
 
 def campaign(specs: Iterable[InstanceSpec], *, minkowski: str = "auto",
-             volume_resolution: Fraction = Fraction(1, 32),
              ) -> tuple[list[VerificationReport], CampaignSummary]:
     """Verify many instances in spec order and summarize."""
-    reports = [verify_spec(s, minkowski=minkowski,
-                           volume_resolution=volume_resolution)
-               for s in specs]
+    reports = [verify_spec(s, minkowski=minkowski) for s in specs]
     return reports, summarize(reports)
 
 

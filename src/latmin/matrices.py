@@ -140,9 +140,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 

@@ -177,8 +177,7 @@ def test_criterion_09_minkowski_theorems_have_zero_violations(box_corpus):
         assert minkowski_first_check(mins, box.volume, det)
         assert minkowski_second_check(mins, box.volume, det)
     specs = plan_instances(999, 60, (2, 3), None, 4)
-    reports, summary = campaign(specs, minkowski="estimate",
-                                volume_resolution=F(1, 32))
+    reports, summary = campaign(specs, minkowski="estimate")
     assert {s.body_kind for s in specs} == set(BODY_KINDS)
     for report in reports:
         assert report.checks["mink-1"] == "pass"

@@ -8,11 +8,10 @@ from hypothesis import given
 
 from latmin import (Box, DivisorChain, GaugeValue, Lattice, Matrix,
                     Sublattice, chain_sublattice, conjecture_rhs, count_points,
-                    divisor_chain, first_bound_derivation, first_bound_rhs,
-                    floor_term, floor_terms, kernel_check, lemma_bound,
-                    main_bound_rhs, minkowski_first_check,
-                    minkowski_second_check, riemann_slack, successive_minima,
-                    volume_estimate)
+                    divisor_chain, first_bound_rhs, floor_term, floor_terms,
+                    kernel_check, lemma_bound, main_bound_rhs,
+                    minkowski_first_check, minkowski_second_check,
+                    riemann_slack, successive_minima, volume_estimate)
 from latmin.bounds import FloorTerms
 
 from strategies import boxes, instances, positive_fractions
@@ -70,7 +69,6 @@ class TestDivisorChain:
         assert divisor_chain(FloorTerms((6, 4, 3))).terms == (6, 6, 3)
         assert divisor_chain(FloorTerms((5, 2))).terms == (6, 2)
         assert divisor_chain(FloorTerms((7,))).terms == (7,)
-        assert DivisorChain((6, 6, 3)).product() == 108
 
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=5)
            .map(lambda q: tuple(sorted(q, reverse=True))))
@@ -98,10 +96,6 @@ class TestResidueCounting:
         assert kernel_check(UNIT_BOX, DivisorChain((3, 3)))
         assert not kernel_check(UNIT_BOX, DivisorChain((1, 1)))
 
-    def test_first_bound_derivation_example(self):
-        mins = successive_minima(UNIT_BOX, STD2)
-        assert first_bound_derivation(UNIT_BOX, STD2, mins) == (9, 1, 9)
-
     @given(instances(max_dim=3, small=True), st.data())
     def test_lemma_holds_for_random_sublattices(self, inst, data):
         body, lattice = inst
@@ -110,17 +104,6 @@ class TestResidueCounting:
         lhs, rhs = lemma_bound(body, lattice, sub)
         assert lhs == count_points(body, lattice, 1)
         assert lhs <= rhs
-
-    @given(instances(max_dim=3, small=True))
-    def test_first_bound_derivation_bounds_the_count(self, inst):
-        body, lattice = inst
-        mins = successive_minima(body, lattice)
-        count, kernel_size, rhs = first_bound_derivation(body, lattice, mins)
-        assert count == count_points(body, lattice, 1)
-        assert kernel_size >= 1
-        assert count <= rhs
-        if kernel_size == 1:
-            assert rhs == first_bound_rhs(mins)
 
 
 class TestMinkowski:

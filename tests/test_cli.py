@@ -14,9 +14,7 @@ from hypothesis import given
 from latmin import Box, Ellipsoid, GaugeValue, Lattice, Matrix, verify
 from latmin.cli import (CSV_COLUMNS, ParseError, build_parser, format_rational,
                         gauge_from_json, gauge_to_json, main, parse_instance,
-                        parse_rational, report_from_json, report_to_json,
-                        spec_from_json, spec_to_json)
-from latmin.harness import InstanceSpec
+                        parse_rational, report_to_json)
 
 from strategies import rationals
 
@@ -119,17 +117,6 @@ class TestReportSerialization:
         assert doc["bounds"] == {"first": "49", "conjecture": "21",
                                  "main": "42"}
         assert doc["tightness_ratio"] == "1/2"
-        assert report_from_json(doc) == report
-        assert report_to_json(report_from_json(doc)) == doc
-
-    def test_spec_round_trip(self):
-        spec = InstanceSpec(seed=2 ** 63 + 5, dim=3, body_kind="hpolytope",
-                            coeff_range=4, lattice_kind="diagonal")
-        assert spec_from_json(spec_to_json(spec)) == spec
-        with pytest.raises(ParseError, match="missing key"):
-            spec_from_json({"seed": "1"})
-        with pytest.raises(ParseError, match="dim"):
-            spec_from_json({**spec_to_json(spec), "dim": 99})
 
 
 class TestCountCommand:
@@ -194,6 +181,40 @@ class TestCountCommand:
             rc, out, err = run_cli(monkeypatch, capsys, argv, stdin_text)
             assert (rc, out) == (2, "")
             assert err == "input error: invalid JSON: nested too deeply\n"
+        rc, out, err = run_cli(monkeypatch, capsys,
+                               ["count", "--mu", '{"sqrt":' + "[" * 20_000],
+                               json.dumps(BOX13_DOC))
+        assert (rc, out) == (2, "")
+        assert err == "input error: --mu: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on integer string conversion")
+    def test_integer_past_the_digit_limit_exits_2(self, monkeypatch, capsys):
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        doc = '{"dim": %s, "body": {}}' % digits
+        for argv, stdin_text in ((["count"], doc),
+                                 (["count", "--mu", '{"sqrt": %s}' % digits],
+                                  json.dumps(BOX13_DOC))):
+            rc, out, err = run_cli(monkeypatch, capsys, argv, stdin_text)
+            assert (rc, out) == (2, "")
+            prefix = "input error: --mu: " if "--mu" in argv else \
+                "input error: "
+            assert err.startswith(prefix + "invalid JSON: ")
+            assert len(err.splitlines()) == 1
+
+    def test_box_counts_past_the_word_size(self, monkeypatch, capsys):
+        # 2*m + 1 points per axis, past what len(range) can report.
+        n = 10 ** 20
+        rc, out, _ = run_cli(monkeypatch, capsys, ["count", "--mu", str(n)],
+                             json.dumps(BOX13_DOC))
+        assert (rc, out) == (0, '{"count":"%d"}\n' % ((2 * n + 1)
+                                                       * (6 * n + 1)))
+        doc = json.dumps({"dim": 1, "body": {"kind": "box",
+                                             "halfwidths": [str(n)]}})
+        rc, out, _ = run_cli(monkeypatch, capsys, ["count"], doc)
+        assert (rc, out) == (0, '{"count":"%d"}\n' % (2 * n + 1))
+        rc, out, _ = run_cli(monkeypatch, capsys, ["verify"], doc)
+        assert rc == 0 and json.loads(out)["count"] == str(2 * n + 1)
 
     def test_sqrt_dilation(self, monkeypatch, capsys):
         doc = json.dumps(BOX13_DOC)
@@ -305,14 +326,26 @@ class TestFuzzCommand:
         assert first == second
 
     def test_json_rows_round_trip(self, monkeypatch, capsys):
-        rc, out, _ = run_cli(monkeypatch, capsys,
-                             ["fuzz", "--seed", "3", "--count", "6",
-                              "--dim", "2", "--range", "3", "--out", "json"])
+        # Each JSON row carries the fields of the CSV row of the same
+        # campaign.
+        argv = ["fuzz", "--seed", "3", "--count", "6", "--dim", "2",
+                "--range", "3"]
+        rc, out, _ = run_cli(monkeypatch, capsys, argv + ["--out", "json"])
         assert rc == 0
         docs = json.loads(out)["reports"]
-        assert len(docs) == 6
-        for doc in docs:
-            assert report_to_json(report_from_json(doc)) == doc
+        rc, out, _ = run_cli(monkeypatch, capsys, argv)
+        assert rc == 0
+        rows = [dict(zip(CSV_COLUMNS, line.split(",")))
+                for line in out.splitlines()[1:]]
+        assert len(docs) == len(rows) == 6
+        for doc, row in zip(docs, rows):
+            assert doc["instance"]["seed"] == row["seed"]
+            assert doc["count"] == row["count"]
+            assert doc["lemma"] == {"lhs": row["lemma_lhs"],
+                                    "rhs": row["lemma_rhs"]}
+            assert "|".join(map(str, doc["chain"])) == row["chain"]
+            assert doc["checks"] == {name: row[name]
+                                     for name in doc["checks"]}
 
     def test_flag_validation_exits_2(self, monkeypatch, capsys):
         rc, _, err = run_cli(monkeypatch, capsys, ["fuzz", "--dim", "7"])

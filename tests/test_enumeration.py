@@ -73,6 +73,15 @@ class TestCountExamples:
         # {-2,0,2}, each paired with three x values.
         assert count_points(BOX13, SKEW, 1) == 9
 
+    def test_box_counts_past_the_word_size(self):
+        # Each axis holds 2*m + 1 integers, more than len(range) can report.
+        n = 10 ** 20
+        assert count_points(BOX13, STD2, n) == (2 * n + 1) * (6 * n + 1)
+        wide, line = Box((F(n),)), Lattice.standard(1)
+        assert count_points(wide, line, 1) == 2 * n + 1
+        assert count_points(wide, line, 1, strict=True) == 2 * n - 1
+        assert open_point_outside(wide, GaugeValue.rational(1), 1)
+
 
 class TestEnumerate:
     def test_matches_count_and_is_sorted(self):
@@ -142,7 +151,9 @@ class TestCountProperties:
     @given(small_instances(), st.sampled_from([F(1, 2), F(2), F(3)]))
     def test_scaling_body_equals_dilating(self, inst, c):
         body, lattice = inst
-        assert count_points(body.scale(c), lattice, 1) == \
+        # c K is the pull-back of K through diag(1/c).
+        scaled = body.preimage(Matrix.diagonal([1 / c] * body.dim))
+        assert count_points(scaled, lattice, 1) == \
             count_points(body, lattice, c)
 
 

@@ -113,14 +113,6 @@ class TestArithmetic:
 
 
 class TestConversions:
-    def test_as_rational(self):
-        assert GaugeValue.sqrt_of(Fraction(9, 4)).as_rational() == Fraction(3, 2)
-        assert GaugeValue.rational(Fraction(7, 5)).as_rational() == Fraction(7, 5)
-        with pytest.raises(ValueError):
-            GaugeValue.sqrt_of(2).as_rational()
-        with pytest.raises(ValueError):
-            GaugeValue.sqrt_of(Fraction(1, 2)).as_rational()
-
     def test_rational_upper_bound_examples(self):
         assert GaugeValue.sqrt_of(2).rational_upper_bound() == 2
         assert GaugeValue.sqrt_of(Fraction(9, 4)).rational_upper_bound() == Fraction(3, 2)

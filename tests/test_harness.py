@@ -128,8 +128,7 @@ class TestVerify:
                             coeff_range=3, lattice_kind="identity")
         auto = verify_spec(spec)
         assert auto.checks["mink-1"] == "skipped"
-        est = verify_spec(spec, minkowski="estimate",
-                          volume_resolution=F(1, 16))
+        est = verify_spec(spec, minkowski="estimate")
         assert est.checks["mink-1"] == "pass"
         assert est.checks["mink-2"] == "pass"
         with pytest.raises(ValueError):
@@ -152,7 +151,6 @@ class TestCampaign:
         assert summary.total == 12
         assert summary.failures == sum(1 for r in reports if r.failed) == 0
         assert summary.bug_alarms == ()
-        assert summary.conjecture_violations == ()
         ratios = [r.tightness_ratio for r in reports
                   if r.tightness_ratio is not None]
         assert summary.max_tightness == max(ratios)

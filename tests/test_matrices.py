@@ -114,7 +114,6 @@ class TestConstruction:
         m = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
         assert (m.nrows, m.ncols) == (2, 3)
         assert not m.is_square
-        assert m.row(1) == (4, 5, 6)
         assert m.column(2) == (3, 6)
         assert m[1, 0] == 4
         assert m.is_integer()

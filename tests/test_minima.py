@@ -133,7 +133,9 @@ class TestProperties:
     def test_scaling_the_body_divides_the_minima(self, inst, c):
         body, lattice = inst
         base = successive_minima(body, lattice)
-        scaled = successive_minima(body.scale(c), lattice)
+        # c K is the pull-back of K through diag(1/c).
+        scaled = successive_minima(
+            body.preimage(Matrix.diagonal([1 / c] * body.dim)), lattice)
         assert scaled.witnesses == base.witnesses
         assert scaled.minima == tuple(lam / c for lam in base.minima)
 
