@@ -8,13 +8,12 @@ anywhere.  See the README for the command-line interface.
 
 from .bodies import (Box, Ellipsoid, HPolytope, InvalidBodyError,
                      SymmetricBody, corner_gauge_bound, volume_estimate)
-from .bounds import (DivisorChain, FloorTerms, chain_sublattice,
-                     conjecture_rhs, divisor_chain, first_bound_rhs,
-                     floor_term, floor_terms, kernel_check, lemma_bound,
-                     main_bound_rhs, minkowski_first_check,
+from .bounds import (chain_sublattice, conjecture_rhs, divisor_chain,
+                     first_bound_rhs, floor_term, floor_terms, kernel_check,
+                     lemma_bound, main_bound_rhs, minkowski_first_check,
                      minkowski_second_check, riemann_slack)
-from .enumeration import (PointSet, count_oracle, count_points,
-                          enclosing_radius, enumerate_points)
+from .enumeration import (count_oracle, count_points, enclosing_radius,
+                          enumerate_points)
 from .gauges import GaugeValue
 from .harness import (CampaignSummary, GenerationError, InstanceSpec,
                       SplitMix64, VerificationReport, campaign, generate,
@@ -28,9 +27,9 @@ from .minima import (CanonicalInstance, MinimaResult, canonicalize,
 
 __all__ = [
     "Box", "CampaignSummary", "CanonicalInstance", "DimensionMismatch",
-    "DivisorChain", "Ellipsoid", "FloorTerms", "GaugeValue",
-    "GenerationError", "HPolytope", "InstanceSpec", "InvalidBodyError",
-    "Lattice", "Matrix", "MinimaResult", "PointSet", "SingularMatrixError",
+    "Ellipsoid", "GaugeValue", "GenerationError", "HPolytope",
+    "InstanceSpec", "InvalidBodyError", "Lattice", "Matrix", "MinimaResult",
+    "SingularMatrixError",
     "SplitMix64", "Sublattice", "SymmetricBody", "VerificationReport",
     "align_witnesses", "campaign", "canonicalize", "chain_sublattice",
     "conjecture_rhs", "corner_gauge_bound", "count_oracle", "count_points",

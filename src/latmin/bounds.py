@@ -23,7 +23,6 @@ integer division, square-root minima use an integer square root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,29 +32,6 @@ from .gauges import GaugeValue
 from .lattices import Lattice, Sublattice
 from .matrices import Matrix
 from .minima import MinimaResult
-
-
-@dataclass(frozen=True)
-class FloorTerms:
-    """The integers ``floor(2/lam_i + 1)``, one per successive minimum."""
-
-    terms: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.terms)
-
-
-@dataclass(frozen=True)
-class DivisorChain:
-    """Chain ``n_1 >= ... >= n_d`` with ``n_(i+1) | n_i`` and
-    ``q_i <= n_i < 2 q_i`` for the floor terms ``q``."""
-
-    terms: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.terms)
 
 
 def _minima_list(minima: "MinimaResult | Sequence[GaugeValue]",
@@ -77,66 +53,65 @@ def floor_term(lam: GaugeValue) -> int:
     return math.isqrt(4 * q * p) // p + 1
 
 
-def floor_terms(minima: "MinimaResult | Sequence[GaugeValue]") -> FloorTerms:
-    return FloorTerms(tuple(floor_term(lam) for lam in _minima_list(minima)))
+def floor_terms(minima: "MinimaResult | Sequence[GaugeValue]",
+                ) -> tuple[int, ...]:
+    """The integers ``floor(2/lam_i + 1)``, one per successive minimum."""
+    return tuple(floor_term(lam) for lam in _minima_list(minima))
 
 
 def first_bound_rhs(minima: "MinimaResult | Sequence[GaugeValue]") -> int:
     """``q_1 ** d``: the bound depending only on the first minimum."""
     q = floor_terms(minima)
-    return q.terms[0] ** q.dim
+    return q[0] ** len(q)
 
 
 def conjecture_rhs(minima: "MinimaResult | Sequence[GaugeValue]") -> int:
     """``prod q_i``: the conjectured bound (a theorem in dimension 2)."""
-    q = floor_terms(minima)
-    out = 1
-    for t in q.terms:
-        out *= t
-    return out
+    return math.prod(floor_terms(minima))
 
 
 def main_bound_rhs(minima: "MinimaResult | Sequence[GaugeValue]") -> int:
     """``2^(d-1) * prod q_i``; the strict bound requires ``d >= 2``."""
     q = floor_terms(minima)
-    if q.dim < 2:
+    if len(q) < 2:
         raise ValueError("the strict bound is stated for dimension >= 2")
-    return 2 ** (q.dim - 1) * conjecture_rhs(minima)
+    return 2 ** (len(q) - 1) * conjecture_rhs(minima)
 
 
-def divisor_chain(q: FloorTerms) -> DivisorChain:
-    """Round floor terms to a divisibility chain, last term exact.
+def divisor_chain(q: tuple[int, ...]) -> tuple[int, ...]:
+    """Round floor terms to a divisibility chain, last term exact: ``n_1 >=
+    ... >= n_d`` with ``n_(i+1) | n_i`` and ``q_i <= n_i < 2 q_i``.
 
     Working from the last coordinate down: keep ``n_(k+1)`` when it already
     dominates ``q_k``; otherwise write ``q_k = m * n_(k+1) + r`` with
     ``0 <= r < n_(k+1)`` and take ``n_k = q_k + n_(k+1) - r``.  Either way
     ``n_(k+1)`` divides ``n_k`` and ``q_k <= n_k < 2 q_k``.
     """
-    d = q.dim
+    d = len(q)
     n = [0] * d
-    n[d - 1] = q.terms[d - 1]
+    n[d - 1] = q[d - 1]
     for k in range(d - 2, -1, -1):
-        if n[k + 1] >= q.terms[k]:
+        if n[k + 1] >= q[k]:
             n[k] = n[k + 1]
         else:
-            r = q.terms[k] % n[k + 1]
-            n[k] = q.terms[k] + n[k + 1] - r
-    return DivisorChain(tuple(n))
+            r = q[k] % n[k + 1]
+            n[k] = q[k] + n[k + 1] - r
+    return tuple(n)
 
 
-def chain_sublattice(chain: DivisorChain, parent: Lattice) -> Sublattice:
+def chain_sublattice(chain: tuple[int, ...], parent: Lattice) -> Sublattice:
     """The diagonal sublattice ``diag(n_1..n_d)`` of ``parent``."""
-    return Sublattice(parent, Matrix.diagonal(chain.terms))
+    return Sublattice(parent, Matrix.diagonal(chain))
 
 
-def kernel_check(body: SymmetricBody, chain: DivisorChain) -> bool:
-    """Does ``2 * body`` meet the chain sublattice only at the origin?
+def kernel_check(body: SymmetricBody, sub: Sublattice) -> bool:
+    """Does ``2 * body`` meet the sublattice ``sub`` only at the origin?
 
-    ``body`` is expected to be a canonical instance body (standard lattice).
-    A ``False`` here contradicts the supporting argument for the main bound
+    ``body`` is expected to be a canonical instance body (standard lattice)
+    and ``sub`` its chain sublattice (:func:`chain_sublattice`).  A
+    ``False`` here contradicts the supporting argument for the main bound
     and should be treated as an implementation alarm by callers.
     """
-    sub = chain_sublattice(chain, Lattice.standard(body.dim))
     return count_points(body, sub.as_lattice(), GaugeValue.rational(2)) == 1
 
 

@@ -33,6 +33,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Sequence, TextIO
@@ -86,10 +87,27 @@ def parse_rational(value: Any, path: str) -> Fraction:
         n = int(num)
         d = int(den) if sep else 1
     except ValueError:
-        raise ParseError(f"{path}: malformed rational {value!r}") from None
+        # ``int`` refuses a well-formed integer past the interpreter's
+        # digit limit with the same exception as a malformed one.
+        fault = "malformed rational {}"
+        if all(map(_INTEGER.fullmatch, text.split("/", 1))):
+            fault = ("rational {} has more digits than the interpreter's "
+                     f"limit of {sys.get_int_max_str_digits()}")
+        raise ParseError(f"{path}: " + fault.format(_echo(value))) from None
     if d == 0:
-        raise ParseError(f"{path}: zero denominator in {value!r}")
+        raise ParseError(f"{path}: zero denominator in {_echo(value)}")
     return Fraction(n, d)
+
+
+# What ``int`` accepts in base 10.
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _echo(value: str) -> str:
+    """``repr(value)``, or that of a short prefix when ``value`` is long."""
+    if len(value) <= 64:
+        return repr(value)
+    return f"{value[:32]!r}... ({len(value)} characters)"
 
 
 def format_rational(f: Fraction) -> str:

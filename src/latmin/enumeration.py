@@ -9,10 +9,15 @@ coordinate.
 One walker, :func:`_walk`, does every such walk (Fincke-Pohst style): it
 takes the integer range of each coordinate from an interval provider and
 yields the last coordinate's range whole, as a leaf run ``(prefix, lo,
-hi)``.  Counting sums the run lengths, enumeration expands the runs, and the
-minima search (:func:`min_key_point_outside`) walks the same way with
-center-out ranges and a provider that reads its shrinking bound.  Boxes
-skip the walk: their counts and point lists are products of per-axis ranges.
+hi)``.  Enumeration expands the runs of the whole set.  Every set walked is
+centrally symmetric, so counting, the minima search
+(:func:`min_key_point_outside`) and the flag certificate
+(:func:`open_point_outside`) walk off a coordinate subspace
+(:func:`_runs_off`) and visit one point of each ± pair, the one whose first
+nonzero coordinate is positive: counting doubles the run lengths and adds
+the origin, and the search walks center-out with a provider that reads its
+shrinking bound.  Boxes skip the walk: their counts and point lists are
+products of per-axis ranges.
 
 Every walk of a dilate runs at one integer key.  Since ``mu^2 = p/q`` is
 rational, the integer points of ``mu*K``, or of its interior when strict,
@@ -45,7 +50,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Iterator
@@ -61,21 +65,6 @@ IntPoint = tuple[int, ...]
 Bounds = tuple[int, int] | None
 # The leaf points ``prefix + (t,)`` for ``lo <= t <= hi``.
 Run = tuple[IntPoint, int, int]
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Lattice points of a dilated body, in lattice-basis coordinates."""
-
-    dim: int
-    lattice: Lattice
-    points: tuple[IntPoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[IntPoint]:
-        return iter(self.points)
 
 
 def _standard_body(body: SymmetricBody, lattice: Lattice) -> SymmetricBody:
@@ -147,6 +136,33 @@ def _walk(dim: int, interval: Callable[[int, IntPoint], Bounds],
         else:
             spans.pop()
             prefix = prefix[:-1]
+
+
+def _runs_off(dim: int, flat: int, interval: Callable[[int, IntPoint], Bounds],
+              span: Callable[[int, int], Iterable[int]] = _ascending,
+              ) -> Iterator[Run]:
+    """The leaf runs of :func:`_walk` over the points of the centrally
+    symmetric set ``interval`` whose first ``flat`` coordinates are not all
+    zero, and of each pair ``y, -y`` only the one whose first nonzero
+    coordinate is positive.
+
+    At an all-zero prefix, level ``k < flat`` takes ``t >= 0``, the last
+    level ``t >= 1`` and level ``flat`` nothing (it is not even asked), so
+    the subspace is never walked; ``flat == dim`` leaves out the origin."""
+    last = dim - 1
+
+    def level(k: int, prefix: IntPoint) -> Bounds:
+        if k > flat or any(prefix):
+            return interval(k, prefix)
+        if k == flat:
+            return None
+        iv = interval(k, prefix)
+        if iv is None:
+            return None
+        lo = max(iv[0], int(k == last))
+        return (lo, iv[1]) if lo <= iv[1] else None
+
+    return _walk(dim, level, span)
 
 
 # ---------------------------------------------------------------------------
@@ -351,46 +367,36 @@ def _dilate_interval(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
     return interval
 
 
-def _dilate_runs(zbody: "Ellipsoid | HPolytope", mu: GaugeValue,
-                 strict: bool) -> Iterator[Run]:
-    """Leaf runs of the integer points of ``mu * zbody`` (its interior when
-    strict), in lexicographic order."""
-    return _walk(zbody.dim, _dilate_interval(zbody, mu, strict))
-
-
 def open_point_outside(view: SymmetricBody, mu: GaugeValue, flat: int) -> bool:
     """Does the open dilate ``mu * view`` hold an integer point whose first
     ``flat`` coordinates are not all zero?
 
-    One strict walk that stops at the first run holding such a point.  Its
-    levels are projections of the key set of the open dilate
+    One strict walk off the subspace (:func:`_runs_off`) that stops at its
+    first run: every run it yields holds such a point, and with the ± rule
+    it holds one exactly when the walk of the whole set does.  Its levels
+    are projections of the key set of the open dilate
     (:func:`_dilate_interval`), which holds no point of the boundary, so
-    the walk does not descend through the prefixes of a tied face.  As
-    in :func:`min_key_point_outside`, coordinate ``flat`` gets an empty
-    interval when the prefix is zero, so the subspace is never walked; with
-    ``flat == dim`` only the origin is left out.  A box holds such a point
-    iff one of its first ``flat`` open axis ranges holds a nonzero
-    integer."""
+    the walk does not descend through the prefixes of a tied face.  A box
+    holds such a point iff one of its first ``flat`` open axis ranges holds
+    a nonzero integer."""
     if not 1 <= flat <= view.dim:
         raise ValueError("flat must be in 1..dim")
     if isinstance(view, Box):
         return any(_axis_bound(w, mu, True) > 0
                    for w in view.halfwidths[:flat])
-    interval = _dilate_interval(view, mu, True)
-
-    def level(k: int, prefix: IntPoint) -> Bounds:
-        if k == flat and not any(prefix):
-            return None
-        return interval(k, prefix)
-
-    return any(any(prefix) or lo or hi
-               for prefix, lo, hi in _walk(view.dim, level))
+    runs = _runs_off(view.dim, flat, _dilate_interval(view, mu, True))
+    return next(runs, None) is not None
 
 
 def count_points(body: SymmetricBody, lattice: Lattice,
                  mu: "GaugeValue | Fraction | int",
                  strict: bool = False) -> int:
-    """Number of lattice points in ``mu * body`` (interior when strict)."""
+    """Number of lattice points in ``mu * body`` (interior when strict).
+
+    For ``mu > 0`` the origin lies in the dilate, closed or strict, and the
+    other points come in ± pairs, so the count is ``1 + 2 n`` for the ``n``
+    points of the walk off the origin (:func:`_runs_off` at ``flat ==
+    dim``), which visits one point of each pair."""
     mu = GaugeValue.coerce(mu)
     if mu.is_zero():
         return 0 if strict else 1
@@ -400,30 +406,29 @@ def count_points(body: SymmetricBody, lattice: Lattice,
         for w in zbody.halfwidths:
             total *= 2 * _axis_bound(w, mu, strict) + 1
         return total
-    return sum(hi - lo + 1 for _, lo, hi in _dilate_runs(zbody, mu, strict))
+    runs = _runs_off(zbody.dim, zbody.dim, _dilate_interval(zbody, mu, strict))
+    return 1 + 2 * sum(hi - lo + 1 for _, lo, hi in runs)
 
 
 def enumerate_points(body: SymmetricBody, lattice: Lattice,
                      mu: "GaugeValue | Fraction | int",
-                     strict: bool = False) -> PointSet:
+                     strict: bool = False) -> tuple[IntPoint, ...]:
     """All lattice points of ``mu * body``, in lattice-basis coordinates.
 
-    Points come out in lexicographic order.  The cardinality always matches
-    :func:`count_points` for identical arguments.
+    Points come out in lexicographic order from a walk of the whole set,
+    both points of every ± pair, so the cardinality cross-checks the
+    doubling of :func:`count_points` for identical arguments.
     """
     mu = GaugeValue.coerce(mu)
-    dim = body.dim
     if mu.is_zero():
-        pts = () if strict else ((0,) * dim,)
-        return PointSet(dim, lattice, pts)
+        return () if strict else ((0,) * body.dim,)
     zbody = _standard_body(body, lattice)
     if isinstance(zbody, Box):
         axes = [_axis_bound(w, mu, strict) for w in zbody.halfwidths]
-        return PointSet(dim, lattice, tuple(itertools.product(
-            *(range(-m, m + 1) for m in axes))))
-    return PointSet(dim, lattice, tuple(
-        prefix + (t,) for prefix, lo, hi in _dilate_runs(zbody, mu, strict)
-        for t in range(lo, hi + 1)))
+        return tuple(itertools.product(*(range(-m, m + 1) for m in axes)))
+    return tuple(prefix + (t,) for prefix, lo, hi in
+                 _walk(zbody.dim, _dilate_interval(zbody, mu, strict))
+                 for t in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +557,13 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
     Returns ``(gauge, x)`` for the winner, or ``None`` when the dilate
     contains no qualifying point.
 
-    The search is a branch-and-bound run of the same walker that counts and
-    enumerates: coordinate intervals at every depth come from the
-    projection cascade scaled to the best integer key found so far
-    (initially that of ``mu``), rebuilt whenever that key shrinks, and each
-    interval is scanned center-out so the bound tightens after the first
-    root-to-leaf path.  The subspace is left out by giving coordinate
-    ``flat`` an empty interval when the prefix is zero.
+    The search is a branch-and-bound run of the walk off the subspace that
+    counting uses (:func:`_runs_off`): coordinate intervals at every depth
+    come from the projection cascade scaled to the best integer key found
+    so far (initially that of ``mu``), rebuilt whenever that key shrinks,
+    and each interval is scanned center-out so the bound tightens after the
+    first root-to-leaf path.  ``y`` and ``-y`` share their gauge and their
+    normalized image, so the walk visits one point of each pair.
 
     The last level is the key set itself, so every leaf run holds only
     points of key at most the best.  A run whose least key (the key is
@@ -566,10 +571,10 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
     least key is smaller improves the best, the levels are rebuilt at the
     new key, and the tied part of the run is its meet with the last level's
     interval at its prefix.  The preferred image of a tied run is located
-    analytically, so neither time nor memory grows with the number of
-    lattice points on a tied gauge face.  A box is searched as the polytope
-    with the pairs ``|d x_i| <= n`` for ``w_i = n/d``, whose integer key is
-    exactly the box's.
+    analytically (:func:`_run_tie_candidates`), so neither time nor memory
+    grows with the number of lattice points on a tied gauge face.  A box is
+    searched as the polytope with the pairs ``|d x_i| <= n`` for ``w_i =
+    n/d``, whose integer key is exactly the box's.
     """
     if not 1 <= flat <= view.dim:
         raise ValueError("flat must be in 1..dim")
@@ -579,69 +584,43 @@ def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,
         view = view.polytope()
     build, interval, run_key, key_bound, to_gauge = _levels(view)
     best = key_bound(mu * mu, 1, False)
+    build(best)
     champion = None  # (preference, canonical image) of the best point
-    built_for = None
-
-    def level(k: int, prefix: IntPoint) -> Bounds:
-        nonlocal built_for
-        if k == flat and not any(prefix):
-            return None
-        if built_for != best:
-            built_for = best
-            build(best)
-        return interval(k, prefix)
-
     last = view.dim - 1
-    whole = flat == view.dim
-    for prefix, lo, hi in _walk(view.dim, level, _centered):
-        key_at = run_key(prefix)
-        runs = (((lo, -1), (1, hi)) if whole and not any(prefix)
-                else ((lo, hi),))
-        for a, b in runs:
-            if a > b:
-                continue
-            k_run = _convex_int_min(a, b, key_at)
-            # Only the half after an improving half can lie above the best.
-            if k_run > best:
-                continue
-            if k_run < best:
-                best = built_for = k_run
-                champion = None
-                build(best)
-                tied = interval(last, prefix)
-                a, b = max(a, tied[0]), min(b, tied[1])
-            base, dirv = _image_run(image_rows, prefix)
-            for t in _run_tie_candidates(a, b, base, dirv):
-                x = _sign_canonical(tuple(bs + t * dv
-                                          for bs, dv in zip(base, dirv)))
-                entry = (tuple(abs(c) for c in reversed(x)), x)
-                if champion is None or entry < champion:
-                    champion = entry
+    for prefix, lo, hi in _runs_off(view.dim, flat, interval, _centered):
+        k_run = _convex_int_min(lo, hi, run_key(prefix))
+        if k_run < best:
+            best = k_run
+            champion = None
+            build(best)
+            tied = interval(last, prefix)
+            lo, hi = max(lo, tied[0]), min(hi, tied[1])
+        # The image of the run is ``base + t*dirv``; map stops at the end
+        # of the prefix.
+        base = [sum(map(mul, row, prefix)) for row in image_rows]
+        dirv = [row[last] for row in image_rows]
+        for t in _run_tie_candidates(lo, hi, base, dirv):
+            x = _sign_canonical(tuple(bs + t * dv
+                                      for bs, dv in zip(base, dirv)))
+            entry = (tuple(abs(c) for c in reversed(x)), x)
+            if champion is None or entry < champion:
+                champion = entry
     if champion is None:
         return None
     return to_gauge(best), champion[1]
 
 
 def _centered(lo: int, hi: int) -> Iterator[int]:
-    """``lo..hi`` ordered by distance from the midpoint.
+    """``lo..hi`` ordered by distance from the midpoint, the upper first.
 
     Visiting the middle of each feasibility interval first makes the
     branch-and-bound reach a near-minimal leaf on its first descent."""
     c = (lo + hi) // 2
     yield c
-    down, up = c - 1, c + 1
-    while True:
-        emitted = False
-        if up <= hi:
-            yield up
-            up += 1
-            emitted = True
-        if down >= lo:
-            yield down
-            down -= 1
-            emitted = True
-        if not emitted:
-            return
+    for t in range(c + 1, hi + 1):
+        yield t
+        if 2 * c - t >= lo:
+            yield 2 * c - t
 
 
 def _sign_canonical(p: IntPoint) -> IntPoint:
@@ -664,45 +643,22 @@ def _convex_int_min(lo: int, hi: int, f) -> int:
     return min(map(f, range(lo, hi + 1)))
 
 
-def _run_tie_candidates(a: int, b: int, base: IntPoint,
-                        dirv: IntPoint) -> list[int]:
-    """The ``t`` in ``a..b`` minimizing ``abs(reversed(base + t*dirv))`` lex.
+def _run_tie_candidates(a: int, b: int, base: list[int],
+                        dirv: list[int]) -> tuple[int, int]:
+    """Two ``t`` in ``a..b``, one of which minimizes ``abs(reversed(base +
+    t*dirv))`` lex, for a ``dirv`` that is not zero.
 
-    Each component ``|base_j + t*dir_j|`` is V-shaped, so its minimum over
-    an integer interval sits at the clamped floor/ceil of the vertex and at
-    most two values tie; subsequent components filter those.  At most two
-    candidates survive (they differ only in later, sign-level preference).
-    """
-    cand: list[int] | None = None
-    for j in reversed(range(len(base))):
-        bj, dj = base[j], dirv[j]
-        if cand is None:
-            if dj == 0:
-                continue
-            q = -bj // dj
-            opts = sorted({min(max(q, a), b), min(max(q + 1, a), b)})
-            vals = [abs(bj + t * dj) for t in opts]
-            m = min(vals)
-            cand = [t for t, v in zip(opts, vals) if v == m]
-        else:
-            vals = [abs(bj + t * dj) for t in cand]
-            m = min(vals)
-            cand = [t for t, v in zip(cand, vals) if v == m]
-        if len(cand) == 1:
-            break
-    if cand is None:
-        cand = [a]
-    return cand
-
-
-def _image_run(image_rows: tuple[IntPoint, ...],
-               prefix: IntPoint) -> tuple[IntPoint, IntPoint]:
-    """Image of the leaf run ``prefix + (t,)`` as ``base + t*dirv``."""
-    last = len(prefix)
-    # map stops at the end of the prefix.
-    base = tuple([sum(map(mul, row, prefix)) for row in image_rows])
-    dirv = tuple([row[last] for row in image_rows])
-    return base, dirv
+    The entries of ``x = base + t*dirv`` after the last one that moves
+    along the run are constant, so the order is decided first by that
+    entry ``|b_j + t d_j|``.  It is V-shaped in ``t``, so its minimum over
+    ``a..b`` sits at the clamped floor or ceiling of the vertex, and the
+    caller's comparison of whole images picks between them.  Both are
+    needed: the walk visits one point of each ± pair, and the ceiling of a
+    run is the floor of the run of the opposite points, which is not
+    walked."""
+    j = max(j for j, d in enumerate(dirv) if d)
+    q = -base[j] // dirv[j]
+    return min(max(q, a), b), min(max(q + 1, a), b)
 
 
 def _poly_run_key(key_rows: list[tuple[IntPoint, int]], prefix: IntPoint):

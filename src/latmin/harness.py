@@ -277,7 +277,7 @@ def verify(body: SymmetricBody, lattice: Lattice,
     main = main_bound_rhs(mins) if dim >= 2 else None
     chain = divisor_chain(q)
     sub = chain_sublattice(chain, standard)
-    kernel_ok = kernel_check(canon.body, chain)
+    kernel_ok = kernel_check(canon.body, sub)
     lemma_lhs, lemma_rhs = lemma_bound(canon.body, standard, sub)
     count = lemma_lhs  # #(K meet Z^d), the lemma's left-hand side
 
@@ -330,15 +330,13 @@ def verify(body: SymmetricBody, lattice: Lattice,
         minima=mins.minima, witnesses=mins.witnesses,
         count=count, first_bound=first, conjecture_bound=conj,
         main_bound=main, lemma_lhs=lemma_lhs, lemma_rhs=lemma_rhs,
-        chain=chain.terms, checks=checks, conjecture_observed=conj_holds,
+        chain=chain, checks=checks, conjecture_observed=conj_holds,
         tightness_ratio=Fraction(count, main) if main else None,
         alerts=alerts)
 
 
-def verify_spec(spec: InstanceSpec, *,
-                minkowski: str = "auto") -> VerificationReport:
-    body, lattice = generate(spec)
-    return verify(body, lattice, spec, minkowski=minkowski)
+def verify_spec(spec: InstanceSpec) -> VerificationReport:
+    return verify(*generate(spec), spec)
 
 
 @dataclass(frozen=True)
@@ -368,10 +366,10 @@ def summarize(reports: Sequence[VerificationReport]) -> CampaignSummary:
                            max_tightness_seed=best_seed)
 
 
-def campaign(specs: Iterable[InstanceSpec], *, minkowski: str = "auto",
+def campaign(specs: Iterable[InstanceSpec],
              ) -> tuple[list[VerificationReport], CampaignSummary]:
     """Verify many instances in spec order and summarize."""
-    reports = [verify_spec(s, minkowski=minkowski) for s in specs]
+    reports = [verify_spec(s) for s in specs]
     return reports, summarize(reports)
 
 

@@ -6,13 +6,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from latmin import (Box, DivisorChain, GaugeValue, Lattice, Matrix,
-                    Sublattice, chain_sublattice, conjecture_rhs, count_points,
+from latmin import (Box, GaugeValue, Lattice, Matrix, Sublattice,
+                    chain_sublattice, conjecture_rhs, count_points,
                     divisor_chain, first_bound_rhs, floor_term, floor_terms,
                     kernel_check, lemma_bound, main_bound_rhs,
                     minkowski_first_check, minkowski_second_check,
                     riemann_slack, successive_minima, volume_estimate)
-from latmin.bounds import FloorTerms
 
 from strategies import boxes, instances, positive_fractions
 
@@ -51,11 +50,11 @@ class TestFloorTerms:
 
     def test_vector_forms(self):
         mins = (GaugeValue.rational(F(1, 3)), GaugeValue.rational(1))
-        assert floor_terms(mins).terms == (7, 3)
+        assert floor_terms(mins) == (7, 3)
         assert first_bound_rhs(mins) == 49
         assert conjecture_rhs(mins) == 21
         assert main_bound_rhs(mins) == 42
-        assert floor_terms(successive_minima(UNIT_BOX, STD2)).terms == (3, 3)
+        assert floor_terms(successive_minima(UNIT_BOX, STD2)) == (3, 3)
         assert first_bound_rhs([GaugeValue.rational(F(2, 3))] * 3) == 64
 
     def test_main_bound_needs_dimension_two(self):
@@ -65,15 +64,15 @@ class TestFloorTerms:
 
 class TestDivisorChain:
     def test_examples(self):
-        assert divisor_chain(FloorTerms((3, 3, 3))).terms == (3, 3, 3)
-        assert divisor_chain(FloorTerms((6, 4, 3))).terms == (6, 6, 3)
-        assert divisor_chain(FloorTerms((5, 2))).terms == (6, 2)
-        assert divisor_chain(FloorTerms((7,))).terms == (7,)
+        assert divisor_chain((3, 3, 3)) == (3, 3, 3)
+        assert divisor_chain((6, 4, 3)) == (6, 6, 3)
+        assert divisor_chain((5, 2)) == (6, 2)
+        assert divisor_chain((7,)) == (7,)
 
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=5)
            .map(lambda q: tuple(sorted(q, reverse=True))))
     def test_invariants(self, q):
-        chain = divisor_chain(FloorTerms(q)).terms
+        chain = divisor_chain(q)
         assert len(chain) == len(q)
         assert chain[-1] == q[-1]
         for n, next_n in zip(chain, chain[1:]):
@@ -82,7 +81,7 @@ class TestDivisorChain:
             assert qi <= n < 2 * qi
 
     def test_chain_sublattice(self):
-        sub = chain_sublattice(DivisorChain((6, 3)), STD2)
+        sub = chain_sublattice((6, 3), STD2)
         assert sub.index == 18
         assert sub.coeff == Matrix.diagonal([6, 3])
 
@@ -93,8 +92,8 @@ class TestResidueCounting:
         assert lemma_bound(UNIT_BOX, STD2, sub) == (9, 9)
 
     def test_kernel_check(self):
-        assert kernel_check(UNIT_BOX, DivisorChain((3, 3)))
-        assert not kernel_check(UNIT_BOX, DivisorChain((1, 1)))
+        assert kernel_check(UNIT_BOX, chain_sublattice((3, 3), STD2))
+        assert not kernel_check(UNIT_BOX, chain_sublattice((1, 1), STD2))
 
     @given(instances(max_dim=3, small=True), st.data())
     def test_lemma_holds_for_random_sublattices(self, inst, data):

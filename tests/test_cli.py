@@ -202,6 +202,36 @@ class TestCountCommand:
             assert err.startswith(prefix + "invalid JSON: ")
             assert len(err.splitlines()) == 1
 
+    @staticmethod
+    def _past_the_digit_limit(monkeypatch, capsys, argv, stdin_text, path):
+        # A well-formed rational string too long for int() is not reported
+        # as malformed, and the message echoes only a prefix of it.
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion is unlimited")
+        digits = "7" * (limit + 1)
+        rc, out, err = run_cli(monkeypatch, capsys,
+                               [a.replace("DIGITS", digits) for a in argv],
+                               stdin_text.replace("DIGITS", digits))
+        assert (rc, out) == (2, "")
+        assert err == (f"input error: {path}: rational '{'7' * 32}'... "
+                       f"({limit + 1} characters) has more digits than the "
+                       f"interpreter's limit of {limit}\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on integer string conversion")
+    def test_rational_past_the_digit_limit_exits_2(self, monkeypatch, capsys):
+        doc = '{"dim": 1, "body": {"kind": "box", "halfwidths": ["DIGITS"]}}'
+        self._past_the_digit_limit(monkeypatch, capsys, ["count"], doc,
+                                   "$.body.halfwidths[0]")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no limit on integer string conversion")
+    def test_mu_past_the_digit_limit_exits_2(self, monkeypatch, capsys):
+        self._past_the_digit_limit(monkeypatch, capsys,
+                                   ["count", "--mu", "DIGITS"],
+                                   json.dumps(BOX13_DOC), "--mu")
+
     def test_box_counts_past_the_word_size(self, monkeypatch, capsys):
         # 2*m + 1 points per axis, past what len(range) can report.
         n = 10 ** 20

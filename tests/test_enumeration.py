@@ -88,7 +88,7 @@ class TestEnumerate:
         pts = enumerate_points(BOX13, STD2, 1)
         assert len(pts) == 21
         assert list(pts) == sorted(pts)
-        assert pts.dim == 2
+        assert {len(p) for p in pts} == {2}
 
     def test_zero_dilation(self):
         assert tuple(enumerate_points(UNIT_BOX, STD2, 0)) == ((0, 0),)
@@ -290,6 +290,13 @@ class TestMinKeyPointOutside:
         assert min_key_point_outside(Box((F(1, 3),)), 1, 1, ((1,),)) is None
         assert min_key_point_outside(Box((F(1, 3),)), 1, 4, ((1,),)) == \
             (GaugeValue.rational(3), (1,))
+        # The walk visits one point of each ± pair, so the preferred image
+        # (0, 1), from y = (1, 1), sits at the ceiling of the vertex of its
+        # run's last moving entry; -y, whose floor it was, is not walked.
+        for flat in (1, 2):
+            assert min_key_point_outside(UNIT_BOX, flat, 1,
+                                         ((-1, 1), (-1, 2))) == \
+                (GaugeValue.rational(1), (0, 1))
 
     @settings(max_examples=60)
     @given(st.integers(1, 3).flatmap(lambda d: bodies(d, small=True)),

@@ -128,7 +128,7 @@ class TestVerify:
                             coeff_range=3, lattice_kind="identity")
         auto = verify_spec(spec)
         assert auto.checks["mink-1"] == "skipped"
-        est = verify_spec(spec, minkowski="estimate")
+        est = verify(*generate(spec), spec, minkowski="estimate")
         assert est.checks["mink-1"] == "pass"
         assert est.checks["mink-2"] == "pass"
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Successive minima, witnesses, and canonical instances."""
 
+import itertools
+import math
 from fractions import Fraction
+from operator import mul
 
 import hypothesis.strategies as st
 import pytest
@@ -9,7 +12,10 @@ from hypothesis import given, settings
 import latmin.minima
 from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
                     MinimaResult, canonicalize, count_points,
-                    enumerate_points, successive_minima)
+                    enumerate_points, generate, plan_instances,
+                    successive_minima)
+from latmin.enumeration import (_gauge_squared_within, _standard_body,
+                                axis_radii)
 from latmin.matrices import align_witnesses
 from latmin.minima import _certify_flag, align
 
@@ -20,6 +26,28 @@ STD2 = Lattice.standard(2)
 SKEW = Lattice(Matrix.from_rows([[1, 1], [0, 2]]))
 
 
+def _canon(p):
+    """``p`` or ``-p``, whichever has a positive first nonzero entry."""
+    for v in p:
+        if v:
+            return p if v > 0 else tuple(-x for x in p)
+    return p
+
+
+def _rank_sweep(order, dim):
+    """``(gauge, point)`` pairs in sweep order -> the minima and witnesses
+    of the pairs that grow the span, stopping at rank ``dim``."""
+    minima, witnesses = [], []
+    for gauge, p in order:
+        rows = [list(w) for w in witnesses] + [list(p)]
+        if Matrix.from_rows(rows).rank() == len(rows):
+            minima.append(gauge)
+            witnesses.append(p)
+            if len(witnesses) == dim:
+                break
+    return minima, witnesses
+
+
 def _greedy_reference(body, lattice) -> MinimaResult:
     """Definitional sweep: every lattice point in (gauge, tie-break) order,
     keeping each point that increases the span."""
@@ -27,26 +55,14 @@ def _greedy_reference(body, lattice) -> MinimaResult:
     zbody = body if lattice.is_standard else body.preimage(lattice.basis)
     std = Lattice.standard(dim)
 
-    def canon(p):
-        for v in p:
-            if v:
-                return p if v > 0 else tuple(-x for x in p)
-        return p
-
     mu = 1
     while True:
-        pts = {canon(p) for p in enumerate_points(zbody, std, mu) if any(p)}
+        pts = {_canon(p) for p in enumerate_points(zbody, std, mu) if any(p)}
         order = sorted(pts, key=lambda p: (zbody.gauge(p),
                                            tuple(abs(c) for c in reversed(p)),
                                            p))
-        minima, witnesses = [], []
-        for p in order:
-            rows = [list(w) for w in witnesses] + [list(p)]
-            if Matrix.from_rows(rows).rank() == len(rows):
-                minima.append(zbody.gauge(p))
-                witnesses.append(p)
-                if len(witnesses) == dim:
-                    break
+        minima, witnesses = _rank_sweep(((zbody.gauge(p), p) for p in order),
+                                        dim)
         if len(witnesses) == dim and not GaugeValue.rational(mu) < minima[-1]:
             return MinimaResult(tuple(minima), tuple(witnesses))
         mu *= 2
@@ -145,6 +161,78 @@ class TestProperties:
         body, lattice = inst
         assert successive_minima(body, lattice) == \
             _greedy_reference(body, lattice)
+
+
+def _ceil_gauge(lam: GaugeValue) -> int:
+    """The least integer ``c >= lam``, exactly."""
+    sq = lam.squared()
+    c = math.isqrt(-(-sq.numerator // sq.denominator))
+    return c if c * c >= sq else c + 1
+
+
+def _scan_reference(body, lattice, found: MinimaResult):
+    """Minima and witnesses of ``body`` over ``lattice`` from a cube scan,
+    with no walk: ``(minima squared, witnesses)``, or ``None`` when the
+    cube holds more than 20,000 points.
+
+    The cube covers ``c K`` for ``c`` the ceiling of the last minimum the
+    search ``found`` (:func:`axis_radii`), in the lattice basis or, when
+    smaller, in the basis aligned to its witnesses.  Every point of gauge
+    at most ``c`` lies in it, so the greedy sweep of its points is the sweep
+    of the whole lattice up to rank ``d`` whenever ``c`` is at least the
+    true last minimum, and otherwise stops short of rank ``d``.  Exact
+    squared gauges come from the oracles' evaluator."""
+    dim = body.dim
+    std = Lattice.standard(dim)
+    zbody = _standard_body(body, lattice)
+    c = _ceil_gauge(found.minima[-1])
+    _, inverse = align_witnesses(found.witnesses)
+    assert Matrix.from_rows(inverse).det() in (1, -1)
+    scans = [(zbody, None), (zbody.preimage(inverse), inverse)]
+    size, scan_body, rows, radii = min(
+        ((math.prod(2 * r + 1 for r in radii), scan_body, rows, radii)
+         for scan_body, rows in scans
+         for radii in [axis_radii(scan_body, std, c)]),
+        key=lambda scan: scan[0])
+    if size > 20_000:
+        return None
+    within = _gauge_squared_within(scan_body)
+    points = {}
+    for y in itertools.product(*(range(-r, r + 1) for r in radii)):
+        g = within(y, c * c, 1) if any(y) else None
+        if g is None:
+            continue
+        x = y if rows is None else tuple(sum(map(mul, row, y))
+                                         for row in rows)
+        points[_canon(x)] = Fraction(*g)
+    order = sorted(points.items(), key=lambda px: (
+        px[1], tuple(abs(v) for v in reversed(px[0])), px[0]))
+    minima, witnesses = _rank_sweep(((g, x) for x, g in order), dim)
+    return tuple(minima), tuple(witnesses)
+
+
+class TestScanReference:
+    def test_dim4_campaign_without_the_walker(self):
+        # Every dim-4 instance of the seed-42 reference campaign whose scan
+        # cube holds at most 20,000 points: each minimum and witness,
+        # tie-break included, from a cube scan that shares no walk with
+        # the search.
+        specs = [s for s in plan_instances(42, 500, [2, 3, 4], None, 5)
+                 if s.dim == 4]
+        checked, kinds = 0, set()
+        for spec in specs:
+            body, lattice = generate(spec)
+            got = successive_minima(body, lattice)
+            ref = _scan_reference(body, lattice, got)
+            if ref is None:
+                continue
+            minima, witnesses = ref
+            assert tuple(lam.squared() for lam in got.minima) == minima
+            assert got.witnesses == witnesses
+            checked += 1
+            kinds.add(spec.body_kind)
+        assert checked >= 150
+        assert kinds == {"box", "hpolytope", "ellipsoid"}
 
 
 class TestCanonicalize:
