@@ -33,10 +33,10 @@ strictly contains another kept one-sided row's set) prove implied by the
 others (Imbert 1993).  That keeps every level at the size of the
 projection itself: without the rules a dim-6 polytope reaches tens of
 thousands of rows.  Only the last level, the body's own rows, decides
-membership; the walks, the minima search and the axis extents use the
-inner levels only as containers of the projections, so a row dropped in
-error could only enlarge an inner level: it would cost walking time, not
-give a wrong answer.
+membership; the walks and the minima search use the inner levels only as
+containers of the projections, so a row dropped in error could only
+enlarge an inner level: it would cost walking time, not give a wrong
+answer.
 
 ``preimage`` writes any nonsingular rational basis as ``Z / D`` (``Z``
 integer, ``D`` the least common denominator) and derives the pulled-back

@@ -58,7 +58,7 @@ from .bodies import (Box, Ellipsoid, HPolytope, InvalidBodyError,
                      SymmetricBody)
 from .gauges import GaugeValue
 from .lattices import Lattice
-from .matrices import DimensionMismatch
+from .matrices import DimensionMismatch, Matrix, _int_det
 
 IntPoint = tuple[int, ...]
 # The integer range ``(lo, hi)`` of one coordinate, ``None`` when empty.
@@ -462,20 +462,19 @@ def _gauge_squared_within(zbody: SymmetricBody):
     """``within(x, a, b)``: the exact ``gauge(x)^2`` as ``(n, d)`` when
     ``n/d <= a/b``, else ``None``; the evaluator of both brute-force oracles.
 
-    Built straight from the defining data (halfwidths, normals, the Gram
-    matrix), so the oracles share no arithmetic with the walks.  A polytope
-    is its normals as integer rows ``c`` over ``r``, with ``gauge(x) = max
-    |c.x| / r``, and a box the rows ``d_i e_i`` over ``n_i`` for ``w_i =
-    n_i/d_i``; ``within`` returns ``None`` at the first row past the bound,
-    so a point that cannot qualify rarely costs every row."""
+    Built straight from the integer data the body stores, so the oracles
+    share no arithmetic with the walks: an ellipsoid is its Gram form ``(M,
+    s)``, ``gauge(x)^2 = x M x / s``; a polytope its integer normals ``(Z,
+    D)`` as the rows ``z`` over ``D^2``, ``gauge(x)^2 = max (z.x)^2 / D^2``;
+    a box the rows ``d_i e_i`` over ``n_i^2`` for ``w_i = n_i/d_i``.
+    ``within`` returns ``None`` at the first row past the bound, so a point
+    that cannot qualify rarely costs every row."""
     if isinstance(zbody, Ellipsoid):
-        lcm = math.lcm(*(e.denominator for row in zbody.gram.entries
-                         for e in row))
-        m = [[int(e * lcm) for e in row] for row in zbody.gram.entries]
+        m, s = zbody._integer_gram
 
         def within_ell(x: IntPoint, a: int, b: int) -> tuple[int, int] | None:
             n = sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, m) if xi)
-            return None if n * b > a * lcm else (n, lcm)
+            return None if n * b > a * s else (n, s)
 
         return within_ell
     # Each row is ``(c, r^2)``.
@@ -484,10 +483,8 @@ def _gauge_squared_within(zbody: SymmetricBody):
         rows = [(tuple(w.denominator * (j == i) for j in range(dim)),
                  w.numerator ** 2) for i, w in enumerate(zbody.halfwidths)]
     else:
-        rows = []
-        for normal in zbody.normals.entries:
-            lcm = math.lcm(*(e.denominator for e in normal))
-            rows.append((tuple(int(e * lcm) for e in normal), lcm * lcm))
+        z, den = zbody._integer_normals
+        rows = [(row, den * den) for row in z]
 
     def within(x: IntPoint, a: int, b: int) -> tuple[int, int] | None:
         n, d = 0, 1
@@ -506,28 +503,31 @@ def _gauge_squared_within(zbody: SymmetricBody):
 def axis_extent_bounds(body: SymmetricBody,
                        lattice: Lattice) -> tuple[Fraction, ...]:
     """Rational upper bounds ``e_i >= max { |y_i| : y in body }`` in lattice
-    coordinates (exact for boxes and polytopes; for ellipsoids a tight
-    rational bound on the irrational extent ``sqrt((G^-1)_ii)``)."""
+    coordinates, from the data the body stores: exact for boxes and
+    polytopes; for an ellipsoid with Gram form ``(M, s)`` the rational upper
+    bound of its extent ``sqrt(s (M^-1)_ii)``.
+
+    For a polytope ``|A y|_inf <= 1`` with ``A = Z / D`` (its integer
+    normals), LP duality gives ``max |y_i| = min { |l|_1 : A^T l = e_i }``:
+    every such ``l`` bounds ``|y_i| = |l . A y|`` by ``|l|_1``, and an
+    optimal ``l`` is basic, row ``i`` of ``A_S^-1 = D Z_S^-1`` for a
+    nonsingular ``d``-row subset ``S``, each of which gives a feasible
+    ``l``.  So ``e_i = D min_S |row i of Z_S^-1|_1``, every axis from one
+    inverse per subset, with no walk or projection."""
     zbody = _standard_body(body, lattice)
     dim = zbody.dim
     if isinstance(zbody, Box):
         return zbody.halfwidths
     if isinstance(zbody, Ellipsoid):
-        inv = zbody.gram.inverse()
-        return tuple(GaugeValue.sqrt_of(inv[j, j]).rational_upper_bound()
+        m, s = zbody._integer_gram
+        inv = Matrix.from_rows(m).inverse()
+        return tuple(GaugeValue.sqrt_of(s * inv[j, j]).rational_upper_bound()
                      for j in range(dim))
-    extents = []
-    for axis in range(dim):
-        # Level 0 of the cascade of the view with this axis moved first.
-        view = zbody
-        if axis:
-            order = list(range(dim))
-            order[0], order[axis] = axis, 0
-            view = zbody.preimage([[int(j == order[i]) for j in range(dim)]
-                                   for i in range(dim)])
-        extents.append(min(Fraction(rhs, abs(coeffs[0]))
-                           for coeffs, rhs in view._cascade[0]))
-    return tuple(extents)
+    z, den = zbody._integer_normals
+    norms = [[den * sum(map(abs, row))
+              for row in Matrix.from_rows(rows).inverse().entries]
+             for rows in itertools.combinations(z, dim) if _int_det(rows)]
+    return tuple(map(min, zip(*norms)))
 
 
 def axis_radii(body: SymmetricBody, lattice: Lattice,

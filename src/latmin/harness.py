@@ -293,27 +293,22 @@ def verify(body: SymmetricBody, lattice: Lattice,
         checks["thm-1.4"] = "skipped"
     checks["eq-1.4"] = "pass" if count <= first else "fail"
 
-    if minkowski == "skip":
+    if minkowski == "skip" or (minkowski == "auto"
+                               and not isinstance(body, Box)):
         checks["mink-1"] = checks["mink-2"] = "skipped"
-    elif isinstance(body, Box):
-        vol = body.volume
-        det = lattice.determinant
-        checks["mink-1"] = ("pass" if minkowski_first_check(mins, vol, det)
-                            else "fail")
-        checks["mink-2"] = ("pass" if minkowski_second_check(mins, vol, det)
-                            else "fail")
-    elif minkowski == "estimate":
-        est = volume_estimate(body, lattice, VOLUME_RESOLUTION)
-        slack = riemann_slack(body, lattice, VOLUME_RESOLUTION)
+    else:
+        if isinstance(body, Box):
+            vol, slack = body.volume, Fraction(0)
+        else:
+            vol = volume_estimate(body, lattice, VOLUME_RESOLUTION)
+            slack = riemann_slack(body, lattice, VOLUME_RESOLUTION)
         det = lattice.determinant
         checks["mink-1"] = ("pass" if
-                            minkowski_first_check(mins, est, det, slack)
+                            minkowski_first_check(mins, vol, det, slack)
                             else "fail")
         checks["mink-2"] = ("pass" if
-                            minkowski_second_check(mins, est, det, slack)
+                            minkowski_second_check(mins, vol, det, slack)
                             else "fail")
-    else:
-        checks["mink-1"] = checks["mink-2"] = "skipped"
 
     conj_holds = count <= conj
     if dim == 2:

@@ -21,8 +21,9 @@ from latmin.bodies import (_derived, _eliminate_last, _int_det, _integer_basis,
                            _prune_rows)
 from latmin.enumeration import (_chain_levels, _dilate_interval,
                                 _poly_interval, _poly_levels,
-                                axis_extent_bounds)
-from latmin.harness import InstanceSpec, generate
+                                axis_extent_bounds, count_oracle,
+                                enclosing_radius)
+from latmin.harness import InstanceSpec, _lambda1_squared_oracle, generate
 from latmin.matrices import align_witnesses
 from latmin.minima import successive_minima
 
@@ -307,10 +308,10 @@ def _vertex_extents(poly):
 
 
 class TestAxisExtents:
-    """Level 0 of the cascade bounds the walks and, through
-    ``axis_extent_bounds``, the oracles' scan cubes; it must be the exact
-    extent of the body, computed here from its vertices, never from a
-    cascade."""
+    """Level 0 of the cascade bounds the walks, and ``axis_extent_bounds``,
+    from the row bases of the integer normals, bounds the oracles' scan
+    cubes; both must be the exact extent of the body, computed here from
+    its vertices, never from a cascade."""
 
     @given(dims.flatmap(lambda d: st.tuples(
         st.one_of(rational_polytopes(d), boxes(d)), lattices(d),
@@ -323,6 +324,30 @@ class TestAxisExtents:
         want = _vertex_extents(poly)
         assert min(F(r, abs(c[0])) for c, r in poly._cascade[0]) == want[0]
         assert axis_extent_bounds(poly, Lattice.standard(poly.dim)) == want
+
+    def test_fixed_row_bases(self):
+        # A repeated row and a parallel one make every subset that holds
+        # two of the three singular.  With s = x + z, |s| <= 1, the last
+        # row is x = 2s - y - t with |t| <= 1 and z = y + t - s, and
+        # |y| <= 3/2.  A box's polytope has one row basis.
+        poly = HPolytope(Matrix.from_rows([
+            [1, 0, 1], [1, 0, 1], [F(1, 2), 0, F(1, 2)], [0, F(2, 3), 0],
+            [1, -1, 2]]))
+        box = Box((F(1, 2), F(3), F(5, 4)))
+        for body, want in ((poly, (F(9, 2), F(3, 2), F(7, 2))),
+                           (box.polytope(), box.halfwidths)):
+            assert _vertex_extents(body) == want
+            assert axis_extent_bounds(body, Lattice.standard(3)) == want
+
+    @given(dims.flatmap(lambda d: st.tuples(rational_ellipsoids(d),
+                                            bases(d))))
+    def test_ellipsoid_extent_is_the_gram_inverse_diagonal(self, case):
+        body, u = case
+        view = body.preimage(u)
+        inv = view.gram.inverse()
+        want = tuple(GaugeValue.sqrt_of(inv[j, j]).rational_upper_bound()
+                     for j in range(view.dim))
+        assert axis_extent_bounds(view, Lattice.standard(view.dim)) == want
 
 
 class TestEllipsoidViews:
@@ -467,6 +492,34 @@ class TestLazyViews:
             assert repr(view) == repr(rebuilt)
             field = "gram" if isinstance(view, Ellipsoid) else "normals"
             assert vars(view)[field] == getattr(rebuilt, field)
+
+    SKEWED = Matrix.from_rows([[1, 2, 0], [0, 1, -1], [F(1, 2), 0, 2]])
+    ORACLES = {
+        "extents": axis_extent_bounds,
+        "count": lambda view, std: count_oracle(
+            view, std, 1, enclosing_radius(view, std, 1)),
+        "lambda1": _lambda1_squared_oracle,
+    }
+    BODIES = {
+        "hpolytope": (HPolytope(Matrix.from_rows(
+            [[1, 0, 1], [0, 2, 1], [1, -1, 0], [F(1, 2), 1, 1]])),
+            ("_cascade", "_top_rows", "normals")),
+        # ``preimage`` builds an ellipsoid view's Schur chain itself, to
+        # check definiteness.
+        "ellipsoid": (Ellipsoid(Matrix.from_rows(
+            [[2, 1, 0], [1, 3, 1], [0, 1, 2]])), ("gram",)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_oracles_read_only_the_stored_integer_data(self, oracle, kind):
+        # The brute-force oracles must stay independent of the walks: on a
+        # fresh view they read its integer normals or Gram form, and build
+        # neither the walks' rows and cascade nor the rational matrices.
+        body, fields = self.BODIES[kind]
+        view = body.preimage(self.SKEWED)
+        self.ORACLES[oracle](view, Lattice.standard(3))
+        assert not set(fields) & set(vars(view))
 
 
 class TestTransforms:
