@@ -32,7 +32,9 @@ original rows after ``k`` eliminations) and Kohler's rule (a set that
 strictly contains another kept one-sided row's set) prove implied by the
 others (Imbert 1993).  That keeps every level at the size of the
 projection itself: without the rules a dim-6 polytope reaches tens of
-thousands of rows.  Only the last level, the body's own rows, decides
+thousands of rows.  Kohler's rule looks up each kept set's own proper
+subsets, and it runs only from the third elimination to the one before
+the last, since elsewhere it provably drops nothing.  Only the last level, the body's own rows, decides
 membership; the walks and the minima search use the inner levels only as
 containers of the projections, so a row dropped in error could only
 enlarge an inner level: it would cost walking time, not give a wrong
@@ -224,7 +226,31 @@ def _eliminate_last(rows: Sequence[IntRow], hists: Sequence[int], width: int,
 
     By the two rules' theorems every dropped row is implied by the kept
     ones, so the result is the same projection; a row dropped in error
-    could only enlarge it, never shrink it."""
+    could only enlarge it, never shrink it.
+
+    Kohler's rule is decided by lookup: a kept row's set ``h`` is dropped
+    iff one of its non-empty proper subsets, walked as ``s = (s - 1) &
+    h``, is a kept set or a mirror.  That is at most ``2^|h| - 2`` lookups,
+    with ``|h| <= limit``.  The pass is skipped where it can drop nothing:
+
+    * the first elimination (``limit == 2``), whose input rows are the
+      original pairs with one bit each: a free row's set is one bit of a
+      pair whose last coefficient is 0, a combination's set two bits of two
+      other pairs, so no kept set or mirror strictly contains another;
+    * the second elimination (``limit == 3``).  Let ``s(u)`` be the sign of
+      the first eliminated coefficient of original one-sided row ``u``.
+      The first elimination leaves sets ``{f}`` with ``s(f) = 0`` and
+      ``{u, v}`` with ``s(u) = -s(v) != 0``, mirrors alike, each held by
+      one row, as each two pairs are combined once.  A row that the second
+      combines is not kept, so its set is gone.  The second keeps the
+      others and builds sets of at most 3 bits: ``{f, g}`` with two zero
+      signs, ``{f, u, v}`` and ``{u, v, w}`` with ``s(u) = s(w) = -s(v)``.
+      A proper subset of any kept set is the set of a combined row, or
+      mixes a zero and a nonzero sign, or has two equal nonzero signs, or
+      is one bit with a nonzero sign, and no kept row has such a set;
+    * the last elimination (``width == 2``): every row of width 1 is
+      parallel, so :func:`_tightest` leaves at most one pair, and a set
+      cannot strictly contain its mirror, which has as many bits."""
     last = width - 1
     low = (1 << half) - 1
     out: list[tuple[tuple[int, ...], int, int]] = []
@@ -245,14 +271,18 @@ def _eliminate_last(rows: Sequence[IntRow], hists: Sequence[int], width: int,
             for cq, d, rq, _, mq in live[i + 1:]
             if (hp | mq).bit_count() <= limit]
     kept = _tightest(out, half)
-    sets = {h for _, h in kept}
-    sets |= {(h >> half) | ((h & low) << half) for h in sets}
-    # By increasing size, so a set is kept iff no kept set is a subset.
-    minimal: set[int] = set()
-    for h in sorted(sets, key=int.bit_count):
-        if not any(m & h == m for m in minimal):
-            minimal.add(h)
-    kept = [(row, h) for row, h in kept if h in minimal]
+    if limit > 3 and width > 2:
+        sets = {h for _, h in kept}
+        sets |= {(h >> half) | ((h & low) << half) for h in sets}
+        # Kohler: keep h iff no non-empty proper subset of h is in sets.
+        minimal = []
+        for row, h in kept:
+            s = (h - 1) & h
+            while s and s not in sets:
+                s = (s - 1) & h
+            if not s:
+                minimal.append((row, h))
+        kept = minimal
     return [row for row, _ in kept], [h for _, h in kept]
 
 

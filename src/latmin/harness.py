@@ -39,8 +39,7 @@ from .bounds import (chain_sublattice, conjecture_rhs, divisor_chain,
                      main_bound_rhs, minkowski_first_check,
                      minkowski_second_check, riemann_slack)
 from .enumeration import (_gauge_squared_within, _standard_body,
-                          axis_extent_bounds, count_oracle, count_points,
-                          enclosing_radius)
+                          axis_extent_bounds, count_oracle, count_points)
 from .gauges import GaugeValue
 from .lattices import Lattice
 from .matrices import Matrix, _int_det
@@ -372,20 +371,19 @@ def campaign(specs: Iterable[InstanceSpec],
 # definition-level cross-checks
 
 
-def _lambda1_squared_oracle(body: SymmetricBody,
-                            lattice: Lattice) -> Fraction:
+def _lambda1_squared_oracle(body: SymmetricBody, lattice: Lattice,
+                            extents: Sequence[Fraction]) -> Fraction:
     """Brute-force squared first minimum via doubling box scans.
 
-    Scans the integer points of a per-axis bounding box of ``mu * body``
-    for mu = 1, 2, 4, ...; once a point of gauge ``<= mu`` is seen the scan
-    provably covered every point that could beat it.  The bound starts at
-    ``mu^2`` and drops to each new best, so a point that cannot win leaves
-    the evaluator at its first row past the bound.
+    Scans the integer points of the per-axis bounding box of ``mu * body``
+    for mu = 1, 2, 4, ..., the box ``mu * extents`` rounded out, where
+    ``extents`` are the :func:`axis_extent_bounds` of ``body`` in
+    ``lattice`` coordinates; once a point of gauge ``<= mu`` is seen the
+    scan provably covered every point that could beat it.  The bound starts
+    at ``mu^2`` and drops to each new best, so a point that cannot win
+    leaves the evaluator at its first row past the bound.
     """
-    zbody = _standard_body(body, lattice)
-    standard = Lattice.standard(body.dim)
-    within = _gauge_squared_within(zbody)
-    extents = axis_extent_bounds(zbody, standard)
+    within = _gauge_squared_within(_standard_body(body, lattice))
     mu = 1
     while True:
         radii = tuple(-((-e.numerator * mu) // e.denominator)
@@ -408,12 +406,13 @@ def oracle_campaign(specs: Iterable[InstanceSpec]) -> bool:
 
     Compares ``count_points`` against ``count_oracle`` (closed and strict)
     and the computed first minimum against a brute-force minimum.  The
-    scans run in whichever basis has the smaller :func:`enclosing_radius`:
-    the lattice's own, or the standard basis of the body aligned to the
-    search's witnesses (:func:`align`).  A unimodular change of basis keeps
-    every count and minimum, and a skewed lattice basis can make the
-    lattice's own scan cube vastly larger than the body.  Only sensible at
-    small dimension; callers keep ``dim <= 3``.
+    scans run in whichever basis has the smaller scan radius, its largest
+    :func:`axis_extent_bounds` rounded up: the lattice's own, or the
+    standard basis of the body aligned to the search's witnesses
+    (:func:`align`).  Each basis's extents are computed once.  A unimodular
+    change of basis keeps every count and minimum, and a skewed lattice
+    basis can make the lattice's own scan cube vastly larger than the body.
+    Only sensible at small dimension; callers keep ``dim <= 3``.
     """
     one = GaugeValue.rational(1)
     for spec in specs:
@@ -423,15 +422,18 @@ def oracle_campaign(specs: Iterable[InstanceSpec]) -> bool:
         mins = successive_minima(body, lattice)
         aligned, _ = align(_standard_body(body, lattice), mins.witnesses)
         standard = Lattice.standard(spec.dim)
-        scan_body, scan_lattice, radius = min(
-            ((body, lattice, enclosing_radius(body, lattice, one)),
-             (aligned, standard, enclosing_radius(aligned, standard, one))),
-            key=lambda scan: scan[2])
+        scans = []
+        for scan_body, scan_lattice in ((body, lattice), (aligned, standard)):
+            extents = axis_extent_bounds(scan_body, scan_lattice)
+            radius = max(-(-e.numerator // e.denominator) for e in extents)
+            scans.append((radius, scan_body, scan_lattice, extents))
+        radius, scan_body, scan_lattice, extents = min(
+            scans, key=lambda scan: scan[0])
         for strict in (False, True):
             if count_points(body, lattice, one, strict) != count_oracle(
                     scan_body, scan_lattice, one, radius, strict):
                 return False
         if mins.minima[0].squared() != _lambda1_squared_oracle(
-                scan_body, scan_lattice):
+                scan_body, scan_lattice, extents):
             return False
     return True

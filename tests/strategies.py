@@ -41,8 +41,9 @@ def boxes(dim: int, max_num: int = 4, max_den: int = 4):
 
 
 @st.composite
-def hpolytopes(draw, dim: int, bound: int = MAX_ENTRY):
-    nrows = draw(st.integers(dim, dim + 2))
+def hpolytopes(draw, dim: int, bound: int = MAX_ENTRY, extra: int = 2):
+    """Polytopes of ``dim`` to ``dim + extra`` integer normals."""
+    nrows = draw(st.integers(dim, dim + extra))
     rows = draw(st.lists(
         st.lists(st.integers(-bound, bound), min_size=dim,
                  max_size=dim).filter(any),

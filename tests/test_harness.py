@@ -10,7 +10,7 @@ from latmin import (Box, GaugeValue, InstanceSpec, Lattice, campaign,
                     count_oracle, count_points, enclosing_radius, generate,
                     oracle_campaign, plan_instances, successive_minima,
                     summarize, verify, verify_spec)
-from latmin.enumeration import _standard_body
+from latmin.enumeration import _standard_body, axis_extent_bounds
 from latmin.harness import (BODY_KINDS, CHECK_NAMES, LATTICE_KINDS, MAX_DIM,
                             SplitMix64, _lambda1_squared_oracle)
 from latmin.minima import align
@@ -164,6 +164,21 @@ class TestCampaign:
         with pytest.raises(ValueError):
             oracle_campaign([big])
 
+    def test_oracle_campaign_takes_each_basis_extents_once(self, monkeypatch):
+        # One axis_extent_bounds per candidate basis: the scan radius and
+        # the minimum scan both read the chosen basis's extents.
+        calls = []
+
+        def spy(body, lattice):
+            calls.append(body)
+            return axis_extent_bounds(body, lattice)
+
+        monkeypatch.setattr("latmin.harness.axis_extent_bounds", spy)
+        monkeypatch.setattr("latmin.enumeration.axis_extent_bounds", spy)
+        specs = plan_instances(17, 8, (1, 2, 3), None, 3)
+        assert oracle_campaign(specs)
+        assert len(calls) == 2 * len(specs)
+
     def test_oracle_campaign_on_a_skewed_polytope(self):
         # Its lattice basis is so skewed that a count scan in the lattice's
         # own coordinates covers 257^3 (about 1.7e7) points for 7 lattice
@@ -190,4 +205,6 @@ class TestOracleBases:
                 assert count_oracle(scan_body, scan_lattice, one, radius,
                                     strict) == \
                     count_points(body, lattice, one, strict)
-            assert _lambda1_squared_oracle(scan_body, scan_lattice) == lam1_sq
+            extents = axis_extent_bounds(scan_body, scan_lattice)
+            assert _lambda1_squared_oracle(scan_body, scan_lattice,
+                                           extents) == lam1_sq

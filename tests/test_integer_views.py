@@ -18,12 +18,13 @@ from hypothesis import given, settings
 from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
                     InvalidBodyError, Lattice, Matrix, minima)
 from latmin.bodies import (_derived, _eliminate_last, _int_det, _integer_basis,
-                           _prune_rows)
+                           _prune_rows, _tightest)
 from latmin.enumeration import (_chain_levels, _dilate_interval,
-                                _poly_interval, _poly_levels,
+                                _poly_interval, _poly_levels, _standard_body,
                                 axis_extent_bounds, count_oracle,
                                 enclosing_radius)
-from latmin.harness import InstanceSpec, _lambda1_squared_oracle, generate
+from latmin.harness import (InstanceSpec, _lambda1_squared_oracle, generate,
+                            plan_instances)
 from latmin.matrices import align_witnesses
 from latmin.minima import successive_minima
 
@@ -121,6 +122,40 @@ def _eliminate_reference(rows, width):
                                   for x, y in zip(cp[:width - 1], cn)),
                             d * bp + a * bn))
     return _prune_rows_reference(out)
+
+
+def _eliminate_last_reference(rows, hists, width, limit, half):
+    """``_eliminate_last`` with Kohler's rule read pairwise: every kept set
+    and mirror, by increasing size, is kept iff no smaller kept one is a
+    subset, at every elimination."""
+    last = width - 1
+    low = (1 << half) - 1
+    out = []
+    live = []
+    for (coeffs, rhs), h in zip(rows, hists):
+        a = coeffs[last]
+        if a == 0:
+            out.append((coeffs[:last], rhs, h))
+        elif a > 0:
+            live.append((coeffs[:last], a, rhs, h,
+                         (h >> half) | ((h & low) << half)))
+        else:
+            live.append((tuple(-c for c in coeffs[:last]), -a, rhs,
+                         (h >> half) | ((h & low) << half), h))
+    out += [(tuple(d * x - a * y for x, y in zip(cp, cq)), d * rp + a * rq,
+             hp | mq)
+            for i, (cp, a, rp, hp, _) in enumerate(live)
+            for cq, d, rq, _, mq in live[i + 1:]
+            if (hp | mq).bit_count() <= limit]
+    kept = _tightest(out, half)
+    sets = {h for _, h in kept}
+    sets |= {(h >> half) | ((h & low) << half) for h in sets}
+    minimal = set()
+    for h in sorted(sets, key=int.bit_count):
+        if not any(m & h == m for m in minimal):
+            minimal.add(h)
+    kept = [(row, h) for row, h in kept if h in minimal]
+    return [row for row, _ in kept], [h for _, h in kept]
 
 
 def _cascade_reference(top_rows):
@@ -284,6 +319,60 @@ class TestCascadePruning:
         assert lattice.basis == Matrix.identity(5)
         sizes = [len(level) for level in body._cascade]
         assert sizes[-1] == 5 and max(sizes) <= 20
+
+    @given(st.integers(2, 6).flatmap(
+        lambda d: st.tuples(hpolytopes(d, extra=6), bases(d))))
+    def test_eliminations_equal_the_pairwise_pass(self, case):
+        # Kohler's rule by subset lookup, skipped at the first and last
+        # eliminations, keeps exactly the rows, order and sets of the
+        # pairwise pass at every elimination.
+        body, u = case
+        view = body.preimage(u)
+        rows, half = view._top_rows, len(view._top_rows)
+        hists = [1 << i for i in range(half)]
+        for width in range(view.dim, 1, -1):
+            args = (rows, hists, width, view.dim - width + 2, half)
+            got = _eliminate_last(*args)
+            assert got == _eliminate_last_reference(*args), f"width {width}"
+            rows, hists = got
+
+    def test_first_elimination_drops_nothing(self):
+        # Pairs 0 and 1 combine to |2 x0| <= 2 with the set of bits 0 and 1
+        # (pair 1 turned over, its - side being bit 1 << 5); it replaces
+        # the looser free row |x0| <= 2 of pair 2 in its place.  The other
+        # combinations, (-1, 1) from pairs 0 and 4 and (1, 1) from pairs 1
+        # and 4, are turned, which mirrors their sets; no set strictly
+        # contains another.
+        rows = [((1, 0, 1), 1), ((1, 0, -1), 1), ((1, 0, 0), 2),
+                ((0, 1, 0), 1), ((0, 1, 1), 1)]
+        args = (rows, [1, 2, 4, 8, 16], 3, 2, 5)
+        want = ([((1, 0), 1), ((0, 1), 1), ((-1, 1), 2), ((1, 1), 2)],
+                [0b11, 0b1000, 0b110000, 0b10010])
+        assert _eliminate_last(*args) == _eliminate_last_reference(*args) \
+            == want
+
+    # Pairs per cascade level, level 0 first, summed over the box and
+    # polytope bodies of each corpus pulled back to the standard lattice.
+    LEVEL_TOTALS = {
+        (7, 60, (5, 6), "hpolytope"): (60, 1198, 1586, 1271, 691, 208),
+        (42, 60, (5, 6), "hpolytope"): (60, 1358, 1696, 1350, 698, 205),
+        (42, 500, (2, 3, 4), None): (333, 1385, 1041, 479),
+    }
+
+    @pytest.mark.parametrize("corpus", sorted(LEVEL_TOTALS, key=str))
+    def test_levels_never_grow(self, corpus):
+        seed, count, dims, kind = corpus
+        want = self.LEVEL_TOTALS[corpus]
+        totals = [0] * len(want)
+        for spec in plan_instances(seed, count, dims, kind, 5):
+            if spec.body_kind == "ellipsoid":
+                continue
+            body = _standard_body(*generate(spec))
+            if isinstance(body, Box):
+                body = body.polytope()
+            for k, level in enumerate(body._cascade):
+                totals[k] += len(level)
+        assert all(map(int.__le__, totals, want)), totals
 
 
 def _vertex_extents(poly):
@@ -498,7 +587,8 @@ class TestLazyViews:
         "extents": axis_extent_bounds,
         "count": lambda view, std: count_oracle(
             view, std, 1, enclosing_radius(view, std, 1)),
-        "lambda1": _lambda1_squared_oracle,
+        "lambda1": lambda view, std: _lambda1_squared_oracle(
+            view, std, axis_extent_bounds(view, std)),
     }
     BODIES = {
         "hpolytope": (HPolytope(Matrix.from_rows(
