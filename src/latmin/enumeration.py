@@ -443,7 +443,10 @@ def count_oracle(body: SymmetricBody, lattice: Lattice,
 
     The caller must guarantee (e.g. via :func:`enclosing_radius`) that every
     solution has all coordinates within ``box_radius``.  Deliberately shares
-    no interval machinery with :func:`count_points`.
+    no interval machinery with :func:`count_points`.  A strict count of 1
+    at ``mu`` says that no nonzero lattice point has gauge below ``mu``, so
+    with a nonzero point of gauge ``mu`` it certifies ``mu`` as the first
+    minimum, straight from the definition.
     """
     sq = GaugeValue.coerce(mu).squared()
     a, b = sq.numerator, sq.denominator
@@ -460,10 +463,11 @@ def count_oracle(body: SymmetricBody, lattice: Lattice,
 
 def _gauge_squared_within(zbody: SymmetricBody):
     """``within(x, a, b)``: the exact ``gauge(x)^2`` as ``(n, d)`` when
-    ``n/d <= a/b``, else ``None``; the evaluator of both brute-force oracles.
+    ``n/d <= a/b``, else ``None``; the evaluator of the brute-force counter
+    :func:`count_oracle`.
 
-    Built straight from the integer data the body stores, so the oracles
-    share no arithmetic with the walks: an ellipsoid is its Gram form ``(M,
+    Built straight from the integer data the body stores, so the oracle
+    shares no arithmetic with the walks: an ellipsoid is its Gram form ``(M,
     s)``, ``gauge(x)^2 = x M x / s``; a polytope its integer normals ``(Z,
     D)`` as the rows ``z`` over ``D^2``, ``gauge(x)^2 = max (z.x)^2 / D^2``;
     a box the rows ``d_i e_i`` over ``n_i^2`` for ``w_i = n_i/d_i``.
@@ -530,20 +534,23 @@ def axis_extent_bounds(body: SymmetricBody,
     return tuple(map(min, zip(*norms)))
 
 
-def axis_radii(body: SymmetricBody, lattice: Lattice,
+def axis_radii(extents: Iterable[Fraction],
                mu: "GaugeValue | Fraction | int") -> tuple[int, ...]:
-    """Per-axis integer radii ``R_i`` such that every point of ``mu*body``
-    in lattice coordinates has ``|y_i| <= R_i``."""
+    """Per-axis integer radii ``R_i = ceil(e_i m)`` for the axis extents
+    ``e_i`` of a body (:func:`axis_extent_bounds`) and ``m`` the rational
+    upper bound of ``mu``: every point of ``mu*body`` has ``|y_i| <= R_i``.
+    The one ceiling rule of every oracle scan radius, rational or square-root
+    ``mu``."""
     mu_up = GaugeValue.coerce(mu).rational_upper_bound()
     return tuple(_ceil_div((e * mu_up).numerator, (e * mu_up).denominator)
-                 for e in axis_extent_bounds(body, lattice))
+                 for e in extents)
 
 
 def enclosing_radius(body: SymmetricBody, lattice: Lattice,
                      mu: "GaugeValue | Fraction | int") -> int:
     """An integer ``R`` such that every point of ``mu*body`` in lattice
     coordinates has ``|y_i| <= R`` for every coordinate."""
-    return max(axis_radii(body, lattice, mu), default=0)
+    return max(axis_radii(axis_extent_bounds(body, lattice), mu), default=0)
 
 
 def min_key_point_outside(view: SymmetricBody, flat: int, mu: int,

@@ -53,8 +53,6 @@ class GaugeValue:
             return v
         return GaugeValue.rational(v)
 
-    ZERO: "GaugeValue"
-
     # -- structure -----------------------------------------------------------
 
     def squared(self) -> Fraction:
@@ -101,14 +99,6 @@ class GaugeValue:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar: RationalLike) -> "GaugeValue":
-        s = _frac(scalar)
-        if s <= 0:
-            raise ValueError("can only divide a gauge by a positive rational")
-        if self.is_sqrt:
-            return GaugeValue.sqrt_of(self.value / (s * s))
-        return GaugeValue.rational(self.value / s)
-
     def power(self, exponent: int) -> "GaugeValue":
         if exponent < 0:
             raise ValueError("nonnegative exponents only")
@@ -120,7 +110,3 @@ class GaugeValue:
         if self.is_sqrt:
             return f"GaugeValue(sqrt({self.value}))"
         return f"GaugeValue({self.value})"
-
-
-GaugeValue.ZERO = GaugeValue.rational(0)
-

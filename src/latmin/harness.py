@@ -27,7 +27,6 @@ that grid (:func:`~latmin.bounds.riemann_slack`).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -38,8 +37,8 @@ from .bounds import (chain_sublattice, conjecture_rhs, divisor_chain,
                      first_bound_rhs, floor_terms, kernel_check, lemma_bound,
                      main_bound_rhs, minkowski_first_check,
                      minkowski_second_check, riemann_slack)
-from .enumeration import (_gauge_squared_within, _standard_body,
-                          axis_extent_bounds, count_oracle, count_points)
+from .enumeration import (_standard_body, axis_extent_bounds, axis_radii,
+                          count_oracle, count_points)
 from .gauges import GaugeValue
 from .lattices import Lattice
 from .matrices import Matrix, _int_det
@@ -371,69 +370,47 @@ def campaign(specs: Iterable[InstanceSpec],
 # definition-level cross-checks
 
 
-def _lambda1_squared_oracle(body: SymmetricBody, lattice: Lattice,
-                            extents: Sequence[Fraction]) -> Fraction:
-    """Brute-force squared first minimum via doubling box scans.
-
-    Scans the integer points of the per-axis bounding box of ``mu * body``
-    for mu = 1, 2, 4, ..., the box ``mu * extents`` rounded out, where
-    ``extents`` are the :func:`axis_extent_bounds` of ``body`` in
-    ``lattice`` coordinates; once a point of gauge ``<= mu`` is seen the
-    scan provably covered every point that could beat it.  The bound starts
-    at ``mu^2`` and drops to each new best, so a point that cannot win
-    leaves the evaluator at its first row past the bound.
-    """
-    within = _gauge_squared_within(_standard_body(body, lattice))
-    mu = 1
-    while True:
-        radii = tuple(-((-e.numerator * mu) // e.denominator)
-                      for e in extents)
-        best: tuple[int, int] | None = None
-        a, b = mu * mu, 1
-        for p in itertools.product(*(range(-r, r + 1) for r in radii)):
-            if not any(p):
-                continue
-            g = within(p, a, b)
-            if g is not None and (best is None or g[0] * b < a * g[1]):
-                best = a, b = g
-        if best is not None:
-            return Fraction(*best)
-        mu *= 2
-
-
 def oracle_campaign(specs: Iterable[InstanceSpec]) -> bool:
     """Do the fast paths agree with definition-level scans on every spec?
 
-    Compares ``count_points`` against ``count_oracle`` (closed and strict)
-    and the computed first minimum against a brute-force minimum.  The
-    scans run in whichever basis has the smaller scan radius, its largest
-    :func:`axis_extent_bounds` rounded up: the lattice's own, or the
-    standard basis of the body aligned to the search's witnesses
-    (:func:`align`).  Each basis's extents are computed once.  A unimodular
-    change of basis keeps every count and minimum, and a skewed lattice
-    basis can make the lattice's own scan cube vastly larger than the body.
-    Only sensible at small dimension; callers keep ``dim <= 3``.
+    Each spec's body is pulled back through its lattice basis once, to
+    ``zbody`` over the standard lattice, and every later call reads that
+    view or its alignment.  ``count_points`` must agree with
+    ``count_oracle`` (closed and strict) at ``mu = 1``, and the computed
+    first minimum ``lambda_1`` with witness ``w_1`` must meet its
+    definition: ``zbody.gauge(w_1) = lambda_1``, so ``lambda_1 * zbody``
+    holds the nonzero point ``w_1``, and the strict ``count_oracle`` at
+    ``lambda_1`` is 1, so no nonzero point has a smaller gauge.
+
+    The scans run in whichever basis has the smaller ``mu = 1`` scan
+    radius (:func:`axis_radii`): ``zbody``'s own, or the standard basis of
+    ``zbody`` aligned to the search's witnesses (:func:`align`).  Each
+    basis's extents are computed once, and every scan radius comes from
+    them.  A unimodular change of basis keeps every count and minimum, and
+    a skewed lattice basis can make the lattice's own scan cube vastly
+    larger than the body.  Only sensible at small dimension; callers keep
+    ``dim <= 3``.
     """
     one = GaugeValue.rational(1)
     for spec in specs:
         if spec.dim > 3:
             raise ValueError("oracle comparisons are limited to dim <= 3")
         body, lattice = generate(spec)
-        mins = successive_minima(body, lattice)
-        aligned, _ = align(_standard_body(body, lattice), mins.witnesses)
         standard = Lattice.standard(spec.dim)
-        scans = []
-        for scan_body, scan_lattice in ((body, lattice), (aligned, standard)):
-            extents = axis_extent_bounds(scan_body, scan_lattice)
-            radius = max(-(-e.numerator // e.denominator) for e in extents)
-            scans.append((radius, scan_body, scan_lattice, extents))
-        radius, scan_body, scan_lattice, extents = min(
-            scans, key=lambda scan: scan[0])
+        zbody = _standard_body(body, lattice)
+        mins = successive_minima(zbody, standard)
+        aligned, _ = align(zbody, mins.witnesses)
+        scans = [(max(axis_radii(extents, one)), scan_body, extents)
+                 for scan_body in (zbody, aligned)
+                 for extents in [axis_extent_bounds(scan_body, standard)]]
+        radius, scan_body, extents = min(scans, key=lambda scan: scan[0])
         for strict in (False, True):
-            if count_points(body, lattice, one, strict) != count_oracle(
-                    scan_body, scan_lattice, one, radius, strict):
+            if count_points(zbody, standard, one, strict) != count_oracle(
+                    scan_body, standard, one, radius, strict):
                 return False
-        if mins.minima[0].squared() != _lambda1_squared_oracle(
-                scan_body, scan_lattice, extents):
+        lam1 = mins.minima[0]
+        if zbody.gauge(mins.witnesses[0]) != lam1 or count_oracle(
+                scan_body, standard, lam1, max(axis_radii(extents, lam1)),
+                strict=True) != 1:
             return False
     return True

@@ -39,7 +39,7 @@ class TestFloorTerms:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            floor_term(GaugeValue.ZERO)
+            floor_term(GaugeValue.rational(0))
 
     @given(gauge_values())
     def test_floor_characterization(self, lam):

@@ -60,7 +60,7 @@ class TestRationalWireFormat:
 
     def test_gauge_round_trip(self):
         for g in (GaugeValue.rational(F(3, 2)), GaugeValue.sqrt_of(F(7, 4)),
-                  GaugeValue.ZERO):
+                  GaugeValue.rational(0)):
             back = gauge_from_json(gauge_to_json(g), "$")
             assert back == g and back.is_sqrt == g.is_sqrt
         assert gauge_to_json(GaugeValue.sqrt_of(2)) == {"sqrt": "2"}

@@ -160,7 +160,7 @@ class TestCountProperties:
 class TestExtentHelpers:
     def test_examples(self):
         assert axis_extent_bounds(BOX13, STD2) == (1, 3)
-        assert axis_radii(BOX13, STD2, 2) == (2, 6)
+        assert axis_radii(axis_extent_bounds(BOX13, STD2), 2) == (2, 6)
         assert enclosing_radius(BOX13, STD2, 1) == 3
         assert axis_extent_bounds(UNIT_DISK, STD2) == (1, 1)
         assert axis_extent_bounds(ROTATED_SQUARE, STD2) == (1, 1)
@@ -171,7 +171,7 @@ class TestExtentHelpers:
     @given(small_instances())
     def test_extents_cover_all_points(self, inst):
         body, lattice = inst
-        radii = axis_radii(body, lattice, 1)
+        radii = axis_radii(axis_extent_bounds(body, lattice), 1)
         radius = enclosing_radius(body, lattice, 1)
         for p in enumerate_points(body, lattice, 1):
             assert all(abs(c) <= r for c, r in zip(p, radii))

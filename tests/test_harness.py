@@ -4,15 +4,15 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
-from latmin import (Box, GaugeValue, InstanceSpec, Lattice, campaign,
-                    count_oracle, count_points, enclosing_radius, generate,
-                    oracle_campaign, plan_instances, successive_minima,
-                    summarize, verify, verify_spec)
+from latmin import (Box, GaugeValue, InstanceSpec, Lattice, MinimaResult,
+                    campaign, count_oracle, count_points, enclosing_radius,
+                    generate, oracle_campaign, plan_instances,
+                    successive_minima, summarize, verify, verify_spec)
 from latmin.enumeration import _standard_body, axis_extent_bounds
 from latmin.harness import (BODY_KINDS, CHECK_NAMES, LATTICE_KINDS, MAX_DIM,
-                            SplitMix64, _lambda1_squared_oracle)
+                            SplitMix64)
 from latmin.minima import align
 
 from strategies import instances
@@ -179,6 +179,30 @@ class TestCampaign:
         assert oracle_campaign(specs)
         assert len(calls) == 2 * len(specs)
 
+    @pytest.mark.parametrize("mutant", ["doubled", "halved",
+                                        "witness-doubled"])
+    def test_oracle_campaign_rejects_a_wrong_first_minimum(self, monkeypatch,
+                                                           mutant):
+        # A search that reports lambda_1 doubled, halved, or with its
+        # witness doubled and that witness's own gauge fails the oracle on
+        # every spec.
+        def wrong(body, lattice):
+            mins = successive_minima(body, lattice)
+            lam, w = mins.minima[0], mins.witnesses[0]
+            if mutant == "doubled":
+                lam = 2 * lam
+            elif mutant == "halved":
+                lam = F(1, 2) * lam
+            else:
+                w = tuple(2 * c for c in w)
+                lam = _standard_body(body, lattice).gauge(w)
+            return MinimaResult((lam,) + mins.minima[1:],
+                                (w,) + mins.witnesses[1:])
+
+        monkeypatch.setattr("latmin.harness.successive_minima", wrong)
+        specs = plan_instances(17, 8, (1, 2, 3), None, 3)
+        assert not any(oracle_campaign([spec]) for spec in specs)
+
     def test_oracle_campaign_on_a_skewed_polytope(self):
         # Its lattice basis is so skewed that a count scan in the lattice's
         # own coordinates covers 257^3 (about 1.7e7) points for 7 lattice
@@ -190,21 +214,28 @@ class TestCampaign:
 
 
 class TestOracleBases:
-    @settings(max_examples=40)
     @given(instances(max_dim=3, small=True))
     def test_oracles_agree_in_both_bases(self, inst):
         body, lattice = inst
         one = GaugeValue.rational(1)
         mins = successive_minima(body, lattice)
-        aligned, _ = align(_standard_body(body, lattice), mins.witnesses)
+        aligned, aligned_wits = align(_standard_body(body, lattice),
+                                      mins.witnesses)
         standard = Lattice.standard(body.dim)
-        lam1_sq = mins.minima[0].squared()
-        for scan_body, scan_lattice in ((body, lattice), (aligned, standard)):
+        lam1 = mins.minima[0]
+        # lambda_1 by its definition in each basis: its witness is a
+        # nonzero point of gauge lambda_1, and the open dilate lambda_1 K
+        # holds no lattice point but the origin.
+        for scan_body, scan_lattice, w1 in (
+                (body, lattice, lattice.point(mins.witnesses[0])),
+                (aligned, standard, aligned_wits[0])):
             radius = enclosing_radius(scan_body, scan_lattice, one)
             for strict in (False, True):
                 assert count_oracle(scan_body, scan_lattice, one, radius,
                                     strict) == \
                     count_points(body, lattice, one, strict)
-            extents = axis_extent_bounds(scan_body, scan_lattice)
-            assert _lambda1_squared_oracle(scan_body, scan_lattice,
-                                           extents) == lam1_sq
+            assert any(w1) and scan_body.gauge(w1) == lam1
+            assert count_oracle(
+                scan_body, scan_lattice, lam1,
+                enclosing_radius(scan_body, scan_lattice, lam1),
+                strict=True) == 1

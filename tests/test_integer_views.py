@@ -23,8 +23,7 @@ from latmin.enumeration import (_chain_levels, _dilate_interval,
                                 _poly_interval, _poly_levels, _standard_body,
                                 axis_extent_bounds, count_oracle,
                                 enclosing_radius)
-from latmin.harness import (InstanceSpec, _lambda1_squared_oracle, generate,
-                            plan_instances)
+from latmin.harness import InstanceSpec, generate, plan_instances
 from latmin.matrices import align_witnesses
 from latmin.minima import successive_minima
 
@@ -587,8 +586,11 @@ class TestLazyViews:
         "extents": axis_extent_bounds,
         "count": lambda view, std: count_oracle(
             view, std, 1, enclosing_radius(view, std, 1)),
-        "lambda1": lambda view, std: _lambda1_squared_oracle(
-            view, std, axis_extent_bounds(view, std)),
+        # A strict scan at a square-root dilation, the kind that certifies
+        # an ellipsoid's first minimum.
+        "sqrt2": lambda view, std: count_oracle(
+            view, std, GaugeValue.sqrt_of(2),
+            enclosing_radius(view, std, GaugeValue.sqrt_of(2)), strict=True),
     }
     BODIES = {
         "hpolytope": (HPolytope(Matrix.from_rows(

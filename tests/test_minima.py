@@ -15,11 +15,12 @@ from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
                     enumerate_points, generate, plan_instances,
                     successive_minima)
 from latmin.enumeration import (_gauge_squared_within, _standard_body,
-                                axis_radii)
+                                axis_extent_bounds, axis_radii)
 from latmin.matrices import align_witnesses
 from latmin.minima import _certify_flag, align
 
-from strategies import bodies, instances, nonsingular_int_matrices
+from strategies import (bodies, boxes, ellipsoids, hpolytopes, instances,
+                        lattices, nonsingular_int_matrices, shear_unimodulars)
 
 F = Fraction
 STD2 = Lattice.standard(2)
@@ -153,7 +154,7 @@ class TestProperties:
         scaled = successive_minima(
             body.preimage(Matrix.diagonal([1 / c] * body.dim)), lattice)
         assert scaled.witnesses == base.witnesses
-        assert scaled.minima == tuple(lam / c for lam in base.minima)
+        assert tuple(c * lam for lam in scaled.minima) == base.minima
 
     @settings(max_examples=25)
     @given(instances(max_dim=3, small=True))
@@ -161,6 +162,42 @@ class TestProperties:
         body, lattice = inst
         assert successive_minima(body, lattice) == \
             _greedy_reference(body, lattice)
+
+
+# Small bodies of each kind, by dimension.
+KIND_BODIES = {
+    "box": lambda dim: boxes(dim, max_num=2, max_den=3),
+    "hpolytope": lambda dim: hpolytopes(dim, bound=2),
+    "ellipsoid": lambda dim: ellipsoids(dim, bound=2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_BODIES))
+class TestMetamorphic:
+    """The minima depend on the body and the lattice as sets, not on the
+    basis or the order of the coordinates they are written in."""
+
+    @given(st.data())
+    def test_rebasing_the_lattice_keeps_the_minima(self, kind, data):
+        dim = data.draw(st.integers(2, 4))
+        body = data.draw(KIND_BODIES[kind](dim))
+        lattice = data.draw(lattices(dim))
+        rebased = Lattice(lattice.basis @ data.draw(shear_unimodulars(dim)))
+        assert successive_minima(body, rebased).minima == \
+            successive_minima(body, lattice).minima
+
+    @given(st.data())
+    def test_permuting_the_coordinates_keeps_the_minima(self, kind, data):
+        dim = data.draw(st.integers(2, 4))
+        body = data.draw(KIND_BODIES[kind](dim))
+        lattice = data.draw(lattices(dim))
+        perm = data.draw(st.permutations(range(dim)))
+        p = Matrix.from_rows([[int(j == perm[i]) for j in range(dim)]
+                              for i in range(dim)])
+        # P K is the pull-back of K through P^-1 = P^T.
+        permuted = successive_minima(body.preimage(p.transpose()),
+                                     Lattice(p @ lattice.basis))
+        assert permuted.minima == successive_minima(body, lattice).minima
 
 
 def _ceil_gauge(lam: GaugeValue) -> int:
@@ -192,7 +229,7 @@ def _scan_reference(body, lattice, found: MinimaResult):
     size, scan_body, rows, radii = min(
         ((math.prod(2 * r + 1 for r in radii), scan_body, rows, radii)
          for scan_body, rows in scans
-         for radii in [axis_radii(scan_body, std, c)]),
+         for radii in [axis_radii(axis_extent_bounds(scan_body, std), c)]),
         key=lambda scan: scan[0])
     if size > 20_000:
         return None
