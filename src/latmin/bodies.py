@@ -469,10 +469,11 @@ class Ellipsoid:
         q = self.gram
         if not q.is_square:
             raise InvalidBodyError("gram matrix must be square")
-        if q != q.transpose():
+        z, s = _lcd_form(q.entries)
+        if z != tuple(zip(*z)):
             raise InvalidBodyError("gram matrix must be symmetric")
         # Sylvester's criterion; the chain fills both cached properties.
-        chain = _schur_chain(_lcd_form(q.entries))
+        chain = _schur_chain((z, s))
         self.__dict__["_integer_gram"] = chain[-1]
         self.__dict__["_integer_forms"] = chain
 

@@ -72,14 +72,14 @@ class ParseError(ValueError):
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{path}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise ParseError(f"{path}: floats are not accepted; "
-                         "write rationals as strings like \"3/2\"")
     if not isinstance(value, str):
+        if isinstance(value, bool):
+            raise ParseError(f"{path}: expected a rational, got a boolean")
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, float):
+            raise ParseError(f"{path}: floats are not accepted; "
+                             "write rationals as strings like \"3/2\"")
         raise ParseError(f"{path}: expected a rational string")
     text = value.strip()
     num, sep, den = text.partition("/")
@@ -150,10 +150,23 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str],
         raise ParseError(f"{path}: missing key {sorted(missing)[0]!r}")
 
 
+def _parse_items(items: list, parse, path: str) -> list:
+    """``[parse(item, path[i]) ...]`` over the entries of ``items``.  The
+    indexed JSON path ``path[i]`` is formatted only once an entry is
+    rejected: the entries are parsed again with it, and ``parse``, which
+    is deterministic, raises at the same entry with the full path."""
+    try:
+        return [parse(item, path) for item in items]
+    except ParseError:
+        for i, item in enumerate(items):
+            parse(item, f"{path}[{i}]")
+        raise
+
+
 def _parse_vector(value: Any, dim: int, path: str) -> list[Fraction]:
     if not isinstance(value, list) or len(value) != dim:
         raise ParseError(f"{path}: expected an array of {dim} rationals")
-    return [parse_rational(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return _parse_items(value, parse_rational, path)
 
 
 def _parse_matrix(value: Any, nrows: int | None, ncols: int,
@@ -162,9 +175,8 @@ def _parse_matrix(value: Any, nrows: int | None, ncols: int,
         raise ParseError(f"{path}: expected a non-empty array of rows")
     if nrows is not None and len(value) != nrows:
         raise ParseError(f"{path}: expected {nrows} rows, got {len(value)}")
-    rows = [_parse_vector(row, ncols, f"{path}[{i}]")
-            for i, row in enumerate(value)]
-    return Matrix.from_rows(rows)
+    return Matrix.from_rows(_parse_items(
+        value, lambda row, where: _parse_vector(row, ncols, where), path))
 
 
 def parse_instance(doc: Any) -> tuple[SymmetricBody, Lattice]:

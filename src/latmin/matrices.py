@@ -15,7 +15,10 @@ One integer helper lives here because the rest of the package needs it:
 ``u @ w_i`` of a unimodular ``u`` (zero below entry ``i``) together with the
 rows of ``u^-1``.  It is the change of basis that lines a witness family up
 with the standard flag, and its square case is the Hermite normal form that
-gives a sublattice's coset digits.
+gives a sublattice's coset digits.  It runs one shared column step,
+:func:`_hermite_step`, per vector; the minima search runs the same step
+once per new witness and mirrors its row operations onto its stage views,
+so the package has one Hermite reduction.
 """
 
 from __future__ import annotations
@@ -256,6 +259,58 @@ class Matrix:
                             for row in work))
 
 
+def _hermite_step(u: list[list[int]], w: Sequence[int], k: int,
+                  ) -> tuple[list[int], list[tuple]]:
+    """One column of the Hermite reduction of :func:`align_witnesses`.
+
+    ``u`` holds, as row lists, the unimodular product of the steps before
+    column ``k``.  The step reduces the column ``c = u @ w`` at row ``k``:
+    Euclidean reduction of ``c[k:]`` pivoting on the smallest nonzero
+    entry (Cohen 1993, section 2.4), a positive pivot, and the entries
+    above it reduced into ``[0, c[k])``.  It applies its elementary row
+    operations to ``u`` in place and returns ``(c, ops)``, the operations
+    in order: ``("swap", i, j)`` swaps rows ``i`` and ``j``, ``("sub", i,
+    j, q)`` subtracts ``q`` times row ``j`` from row ``i``, ``("neg", i)``
+    negates row ``i``.  Every column reduced before is zero from row ``k``
+    down, so no later step changes it.
+
+    Raises:
+        SingularMatrixError: if ``c[k:]`` is zero, that is ``w`` lies in
+            the span of the vectors of the earlier columns.
+    """
+    dim = len(u)
+    c = [sum([a * b for a, b in zip(row, w)]) for row in u]
+    ops: list[tuple] = []
+
+    def sub(i: int, q: int) -> None:
+        if q:
+            c[i] -= q * c[k]
+            u[i] = [a - q * b for a, b in zip(u[i], u[k])]
+            ops.append(("sub", i, k, q))
+
+    while True:
+        live = [r for r in range(k, dim) if c[r]]
+        if not live:
+            raise SingularMatrixError("vectors are linearly dependent")
+        pivot_row = min(live, key=lambda r: abs(c[r]))
+        if pivot_row != k:
+            c[k], c[pivot_row] = c[pivot_row], c[k]
+            u[k], u[pivot_row] = u[pivot_row], u[k]
+            ops.append(("swap", k, pivot_row))
+        for r in range(k + 1, dim):
+            if c[r]:
+                sub(r, c[r] // c[k])
+        if not any(c[k + 1:]):
+            break
+    if c[k] < 0:
+        c[k] = -c[k]
+        u[k] = [-a for a in u[k]]
+        ops.append(("neg", k))
+    for r in range(k):
+        sub(r, c[r] // c[k])
+    return c, ops
+
+
 def align_witnesses(vectors: Sequence[Sequence[int]],
                     ) -> tuple[tuple[IntVector, ...], tuple[IntVector, ...]]:
     """Hermite normal form of independent integer vectors, with ``u^-1``.
@@ -273,45 +328,27 @@ def align_witnesses(vectors: Sequence[Sequence[int]],
     Raises:
         SingularMatrixError: if the vectors are linearly dependent.
 
-    ``u`` is the product of Euclidean row operations on the matrix whose
-    columns are the ``w_i`` (pivot on the smallest nonzero entry, Cohen
-    1993, section 2.4).  ``u^-1`` is built alongside by applying the inverse
+    ``u`` is the product of :func:`_hermite_step`'s row operations, one
+    step per column.  ``u^-1`` is built alongside by applying the inverse
     operations to the columns of an identity, kept transposed so that they
-    are row operations too, which keeps it integer.
+    are row operations too, which keeps it integer: row ``i`` of ``u``
+    losing ``q`` times row ``j`` is column ``j`` of ``u^-1`` gaining ``q``
+    times column ``i``.
     """
     dim = len(vectors[0])
-    h = [[w[r] for w in vectors] for r in range(dim)]
+    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
     inv_t = [[int(i == j) for j in range(dim)] for i in range(dim)]
-
-    def submul(dst: int, src: int, q: int) -> None:
-        # Row ``dst`` of ``u`` loses ``q`` times row ``src``, so column
-        # ``src`` of ``u^-1`` gains ``q`` times column ``dst``.
-        if q:
-            h[dst] = [a - q * b for a, b in zip(h[dst], h[src])]
-            inv_t[src] = [a + q * b for a, b in zip(inv_t[src], inv_t[dst])]
-
-    for col in range(len(vectors)):
-        # Euclidean reduction: shrink entries below the pivot to zero.
-        while True:
-            live = [r for r in range(col, dim) if h[r][col]]
-            if not live:
-                raise SingularMatrixError("vectors are linearly dependent")
-            pivot_row = min(live, key=lambda r: abs(h[r][col]))
-            if pivot_row != col:
-                h[col], h[pivot_row] = h[pivot_row], h[col]
-                inv_t[col], inv_t[pivot_row] = inv_t[pivot_row], inv_t[col]
-            done = True
-            for r in range(col + 1, dim):
-                if h[r][col]:
-                    submul(r, col, h[r][col] // h[col][col])
-                    if h[r][col]:
-                        done = False
-            if done:
-                break
-        if h[col][col] < 0:
-            h[col] = [-e for e in h[col]]
-            inv_t[col] = [-e for e in inv_t[col]]
-        # Reduce the entries above the pivot into [0, pivot).
-        for r in range(col):
-            submul(r, col, h[r][col] // h[col][col])
-    return tuple(zip(*h)), tuple(zip(*inv_t))
+    aligned = []
+    for k, w in enumerate(vectors):
+        c, ops = _hermite_step(u, w, k)
+        for op in ops:
+            if op[0] == "swap":
+                _, i, j = op
+                inv_t[i], inv_t[j] = inv_t[j], inv_t[i]
+            elif op[0] == "sub":
+                _, i, j, q = op
+                inv_t[j] = [a + q * b for a, b in zip(inv_t[j], inv_t[i])]
+            else:
+                inv_t[op[1]] = [-a for a in inv_t[op[1]]]
+        aligned.append(tuple(c))
+    return tuple(aligned), tuple(zip(*inv_t))

@@ -11,11 +11,13 @@ finds the exact minimal-gauge point outside that subspace without ever
 enumerating the (possibly huge) point mass inside it.
 
 From the body pulled back to the standard lattice onward, the search runs in
-exact integers: the change of basis is built as an integer matrix, each
-stage's view of the body is derived from the parent's integer data by
-unimodular congruence (see :meth:`HPolytope.preimage` and
-:meth:`Ellipsoid.preimage`), and the coordinate search compares integer
-gauge keys.
+exact integers: the change of basis is the Hermite reduction of the
+witnesses, carried from stage to stage, one column step per new witness
+(:func:`~latmin.matrices._hermite_step`); each stage's view is derived
+from the last one's integer data by that step's elementary operations, as
+column operations on the integer normals or as congruences of the Gram
+form; and the coordinate search compares integer gauge keys.  The body is
+pulled back once, onto the standard lattice.
 
 Ties are broken deterministically: points are ordered by exact gauge, then
 by preferring support on earlier coordinates, after normalizing each
@@ -35,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bodies import Box, SymmetricBody
+from .bodies import Box, Ellipsoid, HPolytope, SymmetricBody, _derived
 from .enumeration import (_standard_body, min_key_point_outside,
                           open_point_outside)
 from .gauges import GaugeValue
 from .lattices import Lattice
-from .matrices import align_witnesses
+from .matrices import _hermite_step, align_witnesses
 
 IntPoint = tuple[int, ...]
 
@@ -85,6 +87,41 @@ def _box_minima(zbody: Box) -> MinimaResult:
     return MinimaResult(minima, witnesses)
 
 
+def _mirror(ops: list[tuple], cols: list[list[int]], dim: int,
+            symmetric: bool) -> None:
+    """Apply :func:`_hermite_step`'s row operations on ``u`` to the
+    current view, in place, as column operations.
+
+    ``cols`` holds the columns of the view's transform ``R`` (``u^-1``
+    with its columns reversed) stacked over those of its integer data:
+    the normals ``N R``, or the Gram form ``R^T M R``, which ``symmetric``
+    marks and which takes each column operation as a row operation too.
+    Row ``i`` of ``u`` losing ``q`` times row ``j`` is column ``j`` of
+    ``u^-1`` gaining ``q`` times column ``i``: view column ``d - 1 - j``
+    gains ``q`` times view column ``d - 1 - i``.  Swaps and negations
+    map the same way."""
+    last = dim - 1
+    for op in ops:
+        if op[0] == "swap":
+            a, b = last - op[1], last - op[2]
+            cols[a], cols[b] = cols[b], cols[a]
+            if symmetric:
+                for c in cols:
+                    c[dim + a], c[dim + b] = c[dim + b], c[dim + a]
+        elif op[0] == "sub":
+            a, b, q = last - op[2], last - op[1], op[3]
+            cols[a] = [x + q * y for x, y in zip(cols[a], cols[b])]
+            if symmetric:
+                for c in cols:
+                    c[dim + a] += q * c[dim + b]
+        else:
+            a = last - op[1]
+            cols[a] = [-x for x in cols[a]]
+            if symmetric:
+                for c in cols:
+                    c[dim + a] = -c[dim + a]
+
+
 def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
     """Compute all ``d`` successive minima with witnesses.
 
@@ -93,10 +130,19 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
     :func:`min_key_point_outside` finds the exact minimal-gauge points
     outside it within the dilation ``mu``, doubling ``mu`` until one
     appears.  The dilation never shrinks between stages because the minima
-    are nondecreasing.  Each stage's view is the body pulled back through
-    the integer rows of ``u^-1`` that :func:`align_witnesses` returns for
-    the witnesses so far, columns reversed; ``preimage`` derives it by
-    integer congruence, once per stage, not once per doubling.
+    are nondecreasing.
+
+    Each stage's view is the body pulled back through the integer rows of
+    ``u^-1``, columns reversed, for the ``u`` of :func:`align_witnesses` on
+    the witnesses so far.  The Hermite reduction's state is kept from stage
+    to stage: each new witness takes one :func:`_hermite_step`, whose row
+    operations on ``u`` are mirrored as column operations on the transform
+    and the view's integer data (:func:`_mirror`), starting from the
+    body's integer form with its coordinates reversed.  Unimodular
+    operations keep the data's content and scale, so the view equals
+    ``zbody.preimage(rows)`` entry for entry, with no congruence,
+    determinant or gcd per stage.  An ellipsoid view still builds its
+    Schur chain, which raises unless every pivot is positive.
     """
     dim = body.dim
     zbody = _standard_body(body, lattice)
@@ -105,6 +151,15 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
 
     identity = tuple(tuple(int(i == j) for j in range(dim))
                      for i in range(dim))
+    symmetric = isinstance(zbody, Ellipsoid)
+    data, scale = zbody._integer_gram if symmetric else zbody._integer_normals
+    # Column j of the reversal stacked over column j of the reversed data;
+    # the Gram form is symmetric, so its column is a row.
+    cols = [list(identity[-1 - j])
+            + (list(reversed(data[-1 - j])) if symmetric
+               else [row[-1 - j] for row in data])
+            for j in range(dim)]
+    u = [list(row) for row in identity]
     minima: list[GaugeValue] = []
     witnesses: list[IntPoint] = []
     view, rows = zbody, identity
@@ -122,8 +177,17 @@ def successive_minima(body: SymmetricBody, lattice: Lattice) -> MinimaResult:
             # which puts the witness span on the last coordinates.  The
             # search receives these rows to express its preference directly
             # on the original coordinates.
-            rows = tuple(r[::-1] for r in align_witnesses(witnesses)[1])
-            view = zbody.preimage(rows)
+            _mirror(_hermite_step(u, witness, len(witnesses) - 1)[1], cols,
+                    dim, symmetric)
+            stacked = tuple(zip(*cols))
+            rows = stacked[:dim]
+            if symmetric:
+                view = _derived(Ellipsoid,
+                                _integer_gram=(stacked[dim:], scale))
+                view._integer_forms  # raises unless every pivot is positive
+            else:
+                view = _derived(HPolytope,
+                                _integer_normals=(stacked[dim:], scale))
     return MinimaResult(tuple(minima), tuple(witnesses))
 
 

@@ -1,13 +1,24 @@
 """Shared hypothesis strategies producing exact-arithmetic test data."""
 
+import os
 from fractions import Fraction
 
 import hypothesis.strategies as st
-from hypothesis import assume
+from hypothesis import assume, settings
 
 from latmin import Box, Ellipsoid, HPolytope, Lattice, Matrix
 
 MAX_ENTRY = 3
+
+
+def suite_settings(max_examples: int, **kwargs) -> settings:
+    """``settings(max_examples=max_examples, **kwargs)`` under the ``suite``
+    profile that ``conftest.py`` loads by default.  An explicit count
+    overrides the loaded profile, so under any other profile, such as
+    ``thorough``, the cap is left out and the profile's count applies."""
+    if os.environ.get("HYPOTHESIS_PROFILE", "suite") == "suite":
+        kwargs["max_examples"] = max_examples
+    return settings(**kwargs)
 
 
 def positive_fractions(max_num: int = 4, max_den: int = 4):

@@ -107,6 +107,17 @@ class TestInstanceParsing:
         with pytest.raises(ParseError, match=r"\$\.body\.gram: expected 2"):
             parse_instance({"dim": 2,
                             "body": {"kind": "ellipsoid", "gram": [["1"]]}})
+        # A matrix entry and a matrix row are named by their full index
+        # path, and the first of two faults is the one reported.
+        with pytest.raises(ParseError, match=r"^\$\.lattice\.basis\[1\]\[0\]:"
+                                             r" expected a rational string$"):
+            parse_instance({"dim": 2, "body": BOX13_DOC["body"],
+                            "lattice": {"basis": [["1", "0"], [None, "x"]]}})
+        with pytest.raises(ParseError, match=r"^\$\.body\.normals\[2\]: "
+                                             r"expected an array of 2"):
+            parse_instance({"dim": 2, "body": {
+                "kind": "hpolytope",
+                "normals": [["1", "0"], ["0", "1"], ["1"], [1.5, "1"]]}})
 
 
 class TestReportSerialization:

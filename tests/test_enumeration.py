@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
                     count_oracle, count_points, enclosing_radius,
@@ -17,7 +17,7 @@ from latmin.enumeration import (_gauge_squared_within, _levels,
 from latmin.minima import successive_minima
 
 from strategies import (bodies, boxes, instances, lattices,
-                        shear_unimodulars)
+                        shear_unimodulars, suite_settings)
 
 F = Fraction
 STD2 = Lattice.standard(2)
@@ -298,7 +298,7 @@ class TestMinKeyPointOutside:
                                          ((-1, 1), (-1, 2))) == \
                 (GaugeValue.rational(1), (0, 1))
 
-    @settings(max_examples=60)
+    @suite_settings(60)
     @given(st.integers(1, 3).flatmap(lambda d: bodies(d, small=True)),
            st.data())
     def test_agrees_with_enumeration(self, zbody, data):
@@ -309,7 +309,7 @@ class TestMinKeyPointOutside:
                                     self._identity_rows(dim))
         assert got == _brute_outside(zbody, flat, mu)
 
-    @settings(max_examples=40)
+    @suite_settings(40)
     @given(st.integers(1, 3).flatmap(
         lambda d: st.tuples(boxes(d, max_num=2, max_den=3),
                             shear_unimodulars(d))), st.data())

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from latmin import (Box, DimensionMismatch, Ellipsoid, GaugeValue, HPolytope,
                     InvalidBodyError, Lattice, Matrix, minima)
@@ -29,7 +29,7 @@ from latmin.minima import successive_minima
 
 from strategies import (boxes, ellipsoids, hpolytopes, int_matrices,
                         int_points, lattices, positive_fractions,
-                        shear_unimodulars)
+                        shear_unimodulars, suite_settings)
 
 F = Fraction
 
@@ -478,7 +478,7 @@ class TestChainLevels:
     MU_SQUARED = (F(1), F(49, 16), F(5, 2))
     WINDOW = range(-3, 4)
 
-    @settings(max_examples=20, deadline=None)
+    @suite_settings(20, deadline=None)
     @given(chain_bodies(), st.integers(0, 50))
     def test_depth_first_intervals_match_the_definition(self, body, extra):
         # Walk every prefix of [-3, 3]^k depth first, feasible or not, and
@@ -612,6 +612,82 @@ class TestLazyViews:
         view = body.preimage(self.SKEWED)
         self.ORACLES[oracle](view, Lattice.standard(3))
         assert not set(fields) & set(vars(view))
+
+
+def _stage_lattices(dim):
+    """The standard lattice, diagonal lattices and unimodular shears."""
+    return st.one_of(st.just(Lattice.standard(dim)),
+                     _diagonal_scales(dim).map(Lattice),
+                     shear_unimodulars(dim).map(Lattice))
+
+
+class TestDerivedViews:
+    """``successive_minima`` derives each stage's view from the last one by
+    the column operations of one Hermite step, not by a pull-back."""
+
+    @given(st.integers(2, 6).flatmap(lambda d: st.tuples(
+        st.one_of(boxes(d, max_num=2, max_den=3), hpolytopes(d, bound=2),
+                  ellipsoids(d, bound=2)),
+        _stage_lattices(d))))
+    def test_stage_views_equal_the_pull_back(self, case):
+        # Stage k searches through the rows of u^-1 for align_witnesses on
+        # the first k witnesses, columns reversed, and its view must be the
+        # standard body pulled back through them: the same integer data,
+        # Schur chain or cascade, entry for entry.
+        body, lattice = case
+        zbody = _standard_body(body, lattice)
+        identity = tuple(tuple(int(i == j) for j in range(body.dim))
+                         for i in range(body.dim))
+        seen, found = [], []
+        search = minima.min_key_point_outside
+
+        def spy(view, flat, mu, rows):
+            seen.append((view, rows, len(found)))
+            result = search(view, flat, mu, rows)
+            if result is not None:
+                found.append(result[1])
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(minima, "min_key_point_outside", spy)
+            successive_minima(body, lattice)
+        for view, rows, k in seen:
+            if k == 0:
+                assert rows == identity
+                continue
+            assert rows == tuple(
+                r[::-1] for r in align_witnesses(found[:k])[1])
+            pulled = zbody.preimage(rows)
+            if isinstance(view, Ellipsoid):
+                assert view._integer_gram == pulled._integer_gram
+                assert view._integer_forms == pulled._integer_forms
+            else:
+                assert view._integer_normals == pulled._integer_normals
+                assert view._cascade == pulled._cascade
+
+    @pytest.mark.parametrize("kind", sorted(TestLazyViews.BODIES))
+    def test_one_pull_back_and_no_alignment(self, kind):
+        # Over a skewed lattice the search pulls the body back once, onto
+        # the standard lattice, and derives its three stage views without
+        # another pull-back or a run of align_witnesses.
+        body, _ = TestLazyViews.BODIES[kind]
+        pulled = []
+
+        def refuse(*args):
+            raise AssertionError("align_witnesses called")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for cls in (Box, HPolytope, Ellipsoid):
+                def counted(self, a, pull=cls.preimage):
+                    pulled.append(a)
+                    return pull(self, a)
+                mp.setattr(cls, "preimage", counted)
+            mp.setattr(minima, "align_witnesses", refuse)
+            result = successive_minima(body,
+                                       Lattice(TestLazyViews.SKEWED))
+        assert pulled == [TestLazyViews.SKEWED]
+        assert result == successive_minima(
+            body.preimage(TestLazyViews.SKEWED), Lattice.standard(3))
 
 
 class TestTransforms:

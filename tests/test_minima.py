@@ -7,7 +7,7 @@ from operator import mul
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 import latmin.minima
 from latmin import (Box, Ellipsoid, GaugeValue, HPolytope, Lattice, Matrix,
@@ -20,7 +20,8 @@ from latmin.matrices import align_witnesses
 from latmin.minima import _certify_flag, align
 
 from strategies import (bodies, boxes, ellipsoids, hpolytopes, instances,
-                        lattices, nonsingular_int_matrices, shear_unimodulars)
+                        lattices, nonsingular_int_matrices, shear_unimodulars,
+                        suite_settings)
 
 F = Fraction
 STD2 = Lattice.standard(2)
@@ -132,7 +133,7 @@ class TestProperties:
         assert count_points(body, lattice, r.minima[0], strict=True) == 1
         assert count_points(body, lattice, r.minima[0]) >= 3
 
-    @settings(max_examples=25)
+    @suite_settings(25)
     @given(instances(max_dim=3, small=True))
     def test_each_minimum_is_a_rank_threshold(self, inst):
         body, lattice = inst
@@ -156,7 +157,7 @@ class TestProperties:
         assert scaled.witnesses == base.witnesses
         assert tuple(c * lam for lam in scaled.minima) == base.minima
 
-    @settings(max_examples=25)
+    @suite_settings(25)
     @given(instances(max_dim=3, small=True))
     def test_matches_greedy_sweep(self, inst):
         body, lattice = inst
